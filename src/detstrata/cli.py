@@ -183,8 +183,6 @@ def _verify_space(space: MatrixSpace) -> str | None:
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
-    if args.max < 1:
-        parser.error("--max must be at least 1")
     spaces: list[MatrixSpace] = []
     if family == GENERAL:
         for n in range(1, args.max + 1):
@@ -194,6 +192,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         spaces = [MatrixSpace.symmetric(n) for n in range(1, args.max + 1)]
     else:
         spaces = [MatrixSpace.skew(n) for n in range(2, args.max + 1)]
+    if not spaces:
+        parser.error(f"--max {args.max} leaves no {family} space to verify")
     for space in spaces:
         diagnostic = _verify_space(space)
         if diagnostic is not None:

@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Mapping
+
+# Most q-binomial coefficients the row cache holds at once.  Every row that
+# the closed tables up to general(200, 200) need fits; the row a call just
+# used is kept even when it alone is larger.
+_ROW_CACHE_COEFFS = 1 << 20
+
+
+def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Drop zero coefficients from both ends; the zero polynomial becomes (0, ())."""
+    lo = 0
+    hi = len(coeffs)
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        return 0, ()
+    if hi - lo == len(coeffs):
+        return min_exp, coeffs
+    return min_exp + lo, coeffs[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -21,21 +44,18 @@ class LaurentPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        min_exp = int(self.min_exp)
-        lo = 0
-        hi = len(coeffs)
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            coeffs, min_exp = (), 0
-        else:
-            min_exp += lo
-            coeffs = coeffs[lo:hi]
+        min_exp, coeffs = _trim(int(self.min_exp), tuple(int(c) for c in self.coeffs))
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _from_run(cls, min_exp: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+        """Wrap a run of exact ints computed in this module: trimmed, not re-validated."""
+        poly = object.__new__(cls)
+        min_exp, coeffs = _trim(min_exp, coeffs)
+        object.__setattr__(poly, "min_exp", min_exp)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -84,14 +104,16 @@ class LaurentPoly:
         if other.is_zero:
             return self
         lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        return LaurentPoly(
-            lo,
-            tuple(self.coefficient(e) + other.coefficient(e) for e in range(lo, hi + 1)),
-        )
+        out = [0] * (max(self.max_exp, other.max_exp) - lo + 1)
+        i = self.min_exp - lo
+        out[i : i + len(self.coeffs)] = self.coeffs
+        j = other.min_exp - lo
+        end = j + len(other.coeffs)
+        out[j:end] = map(add, out[j:end], other.coeffs)
+        return LaurentPoly._from_run(lo, tuple(out))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
+        return LaurentPoly._from_run(self.min_exp, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -105,13 +127,13 @@ class LaurentPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
+        return LaurentPoly._from_run(self.min_exp + other.min_exp, tuple(out))
 
     def shift(self, k: int) -> LaurentPoly:
-        """Multiply by q**k (k may be negative)."""
+        """Multiply by q**k (k may be negative); the coefficient run is shared, not copied."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.min_exp + k, self.coeffs)
+        return LaurentPoly._from_run(int(self.min_exp + k), self.coeffs)
 
     def substitute_power(self, k: int) -> LaurentPoly:
         """Replace q by q**k, scaling every exponent by k >= 1."""
@@ -119,9 +141,9 @@ class LaurentPoly:
             raise ValueError(f"exponent scale must be positive, got {k}")
         if self.is_zero or k == 1:
             return self
-        return LaurentPoly.from_terms(
-            {(self.min_exp + i) * k: c for i, c in enumerate(self.coeffs)}
-        )
+        out = [0] * ((len(self.coeffs) - 1) * k + 1)
+        out[::k] = self.coeffs
+        return LaurentPoly._from_run(self.min_exp * k, tuple(out))
 
     def evaluate(self, x: int) -> int:
         """Exact value at an integer x; x must be +-1 when negative exponents occur."""
@@ -165,17 +187,66 @@ class LaurentPoly:
         return cls(int(data["min_exp"]), tuple(data["coeffs"]))
 
 
-@lru_cache(maxsize=None)
+def _product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Coefficients of [a, b+1] from those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
+
+    Multiplying by 1 - q^k turns coefficient e into m[e] = c[e] - c[e-k].
+    The division by 1 - q^j is exact, so the quotient is j terms shorter and
+    satisfies p[e] = m[e] + p[e-j]: a running sum along each residue class of
+    exponents mod j.
+    """
+    k, j = a - b, b + 1
+    out = list(c) + [0] * k
+    out[k:] = map(sub, out[k:], c)
+    del out[-j:]
+    for r in range(j):
+        out[r::j] = accumulate(out[r::j])
+    return tuple(out)
+
+
+class _RowCache:
+    """Prefixes [a, 0], ..., [a, k] of q-binomial rows, least recently used first.
+
+    A row is built once by the product step and later only extended.  The
+    cache is bounded by the number of coefficients it holds, and the row used
+    last is always kept.  One lock guards every lookup and update.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.rows: OrderedDict[int, list[tuple[int, ...]]] = OrderedDict()
+        self.held = 0
+
+    def get(self, a: int, b: int) -> tuple[int, ...]:
+        """Coefficients of [a, b], for 0 <= b <= a."""
+        with self._lock:
+            row = self.rows.get(a)
+            if row is None:
+                row = self.rows[a] = [(1,)]
+                self.held += 1
+            else:
+                self.rows.move_to_end(a)
+            while len(row) <= b:
+                row.append(_product_step(row[-1], a, len(row) - 1))
+                self.held += len(row[-1])
+            while self.held > _ROW_CACHE_COEFFS and len(self.rows) > 1:
+                _, evicted = self.rows.popitem(last=False)
+                self.held -= sum(map(len, evicted))
+            return row[b]
+
+
+_ROWS = _RowCache()
+
+
 def gauss_binomial(a: int, b: int) -> LaurentPoly:
     """The q-binomial coefficient: polynomial of degree b*(a-b) with constant term 1.
 
-    Computed by the Pascal-type recursion
-    ``[a, b] = [a-1, b-1] + q**b * [a-1, b]``, so every coefficient is an
-    exact integer.  The coefficient of q**k counts partitions of k inside the
-    (a-b) x b box.
+    Computed without recursion by the exact product step
+    ``[a, b+1] = [a, b] * (1 - q**(a-b)) / (1 - q**(b+1))`` up to
+    ``min(b, a-b)``, using the symmetry ``[a, b] = [a, a-b]``; every
+    coefficient is an exact integer.  The coefficient of q**k counts
+    partitions of k inside the (a-b) x b box.
     """
     if b < 0 or b > a:
         raise ValueError(f"require 0 <= b <= a, got a={a}, b={b}")
-    if b == 0 or b == a:
-        return LaurentPoly.one()
-    return gauss_binomial(a - 1, b - 1) + gauss_binomial(a - 1, b).shift(b)
+    return LaurentPoly._from_run(0, _ROWS.get(a, min(b, a - b)))

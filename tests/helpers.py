@@ -2,13 +2,18 @@
 
 Everything here recomputes quantities from first principles (Weyl dimension
 products, semistandard tableaux, brute-force symmetric powers) so the library
-is checked against code that shares none of its internals.
+is checked against code that shares none of its internals.  The one exception
+is the Pascal recursion for q-binomials, which uses ``LaurentPoly`` addition
+and shifts to check the product-step route of ``gauss_binomial``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations_with_replacement
+
+from detstrata import LaurentPoly
 
 
 def weyl_dimension(parts: tuple[int, ...], N: int) -> int:
@@ -120,3 +125,14 @@ def wedge2_weights(n: int) -> list[tuple[int, ...]]:
 def dominant_box(n: int, bound: int = 6):
     """All weakly decreasing integer n-tuples with entries in [-bound, bound]."""
     return combinations_with_replacement(range(bound, -bound - 1, -1), n)
+
+
+@lru_cache(maxsize=None)
+def pascal_gauss_binomial(a: int, b: int) -> LaurentPoly:
+    """The q-binomial by the Pascal-type recursion [a, b] = [a-1, b-1] + q**b [a-1, b].
+
+    Recursive and cached without bound, so only for small a (a <= 60 in the tests).
+    """
+    if b == 0 or b == a:
+        return LaurentPoly.one()
+    return pascal_gauss_binomial(a - 1, b - 1) + pascal_gauss_binomial(a - 1, b).shift(b)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import detstrata
 from detstrata.cli import main
 
 
@@ -180,10 +184,32 @@ class TestVerify:
             "ok general(2,2)", "ok general(3,2)", "ok general(3,3)",
         ]
 
+    @pytest.mark.parametrize("family, bound", [("skew", "1"), ("general", "0"), ("symm", "-3")])
+    def test_empty_range_is_usage_error(self, capsys, family, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", family, "--max", bound])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "leaves no" in err
+
     def test_deterministic(self, capsys):
         first = run(capsys, "verify", "--family", "symm", "--max", "4")
         second = run(capsys, "verify", "--family", "symm", "--max", "4")
         assert first == second
+
+
+class TestLargeSizes:
+    def test_derham_700_with_a_cold_cache(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(detstrata.__file__)))
+        argv = ["derham", "--family", "general", "--m", "700", "--n", "700", "--p", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "detstrata.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith(f"closed: q^{699 * 699} + q^{699 * 699 + 2} + ")
 
 
 class TestArgumentErrors:

@@ -1,20 +1,78 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+import threading
 
 import pytest
+from helpers import pascal_gauss_binomial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detstrata import LaurentPoly, enumerate_in_rectangle, gauss_binomial
+from detstrata import LaurentPoly, enumerate_in_rectangle, gauss_binomial, qpoly
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qpoly.__file__)))
 
 polys = st.builds(
     lambda e, cs: LaurentPoly(e, tuple(cs)),
     st.integers(-4, 4),
     st.lists(st.integers(-9, 9), max_size=6),
 )
+wide_polys = st.builds(
+    lambda e, cs: LaurentPoly(e, tuple(cs)),
+    st.integers(-12, 12),
+    st.lists(st.integers(-3, 3), max_size=12),
+)
+
+
+def terms(poly):
+    """The polynomial as a dict from exponent to nonzero coefficient."""
+    return {poly.min_exp + i: c for i, c in enumerate(poly.coeffs) if c}
+
+
+def canonical(term_dict):
+    """(min_exp, coeffs) of the trimmed dense run holding ``term_dict``, (0, ()) for zero."""
+    nonzero = {e: c for e, c in term_dict.items() if c}
+    if not nonzero:
+        return 0, ()
+    lo, hi = min(nonzero), max(nonzero)
+    return lo, tuple(nonzero.get(e, 0) for e in range(lo, hi + 1))
+
+
+def as_pair(poly):
+    return poly.min_exp, poly.coeffs
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) where b negates a chosen subset of a's terms, often both end terms."""
+    a = draw(wide_polys)
+    mask = draw(st.lists(st.booleans(), min_size=len(a.coeffs), max_size=len(a.coeffs)))
+    out = {a.min_exp + i: -c for i, (c, hit) in enumerate(zip(a.coeffs, mask)) if hit}
+    for e, c in terms(draw(wide_polys)).items():
+        out.setdefault(e, c)
+    return a, LaurentPoly.from_terms(out)
+
+
+def prefix_size(a, k):
+    """Coefficients held by the row prefix [a, 0], ..., [a, k]."""
+    return sum(b * (a - b) + 1 for b in range(k + 1))
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty q-binomial row cache for this test only."""
+    rows = qpoly._RowCache()
+    monkeypatch.setattr(qpoly, "_ROWS", rows)
+    return rows
+
+
+def cache_held(rows):
+    return sum(len(c) for row in rows.rows.values() for c in row)
 
 
 def rectangle_generating_function(rows, cols):
@@ -79,6 +137,34 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+class TestDictReference:
+    @staticmethod
+    def check_sum_and_difference(a, b):
+        ta, tb = terms(a), terms(b)
+        keys = ta.keys() | tb.keys()
+        assert as_pair(a + b) == canonical({e: ta.get(e, 0) + tb.get(e, 0) for e in keys})
+        assert as_pair(a - b) == canonical({e: ta.get(e, 0) - tb.get(e, 0) for e in keys})
+
+    @given(wide_polys, wide_polys)
+    def test_add_and_sub(self, a, b):
+        self.check_sum_and_difference(a, b)
+
+    @given(cancelling_pairs())
+    def test_cancelling_sums_are_trimmed(self, pair):
+        a, b = pair
+        self.check_sum_and_difference(a, b)
+        self.check_sum_and_difference(b, a)
+        assert a - a == LaurentPoly.zero()
+
+    @given(wide_polys, st.integers(-30, 30))
+    def test_shift(self, a, k):
+        assert as_pair(a.shift(k)) == canonical({e + k: c for e, c in terms(a).items()})
+
+    @given(wide_polys, st.integers(1, 5))
+    def test_substitute_power(self, a, k):
+        assert as_pair(a.substitute_power(k)) == canonical({e * k: c for e, c in terms(a).items()})
 
 
 class TestEvaluate:
@@ -156,3 +242,92 @@ class TestGaussBinomial:
                 assert poly.min_exp == 0
                 assert poly.coefficient(0) == 1
                 assert poly.max_exp == b * (a - b)
+
+
+class TestProductStep:
+    @pytest.mark.parametrize("cap", [None, 300])
+    def test_matches_pascal_reference_in_shuffled_order(self, fresh_rows, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(qpoly, "_ROW_CACHE_COEFFS", cap)
+        pairs = [(a, b) for a in range(61) for b in range(a + 1)]
+        random.Random(2105).shuffle(pairs)
+        seen: set[int] = set()
+        events = {"extend": 0, "evict": 0, "rebuild": 0}
+        for a, b in pairs:
+            row = fresh_rows.rows.get(a)
+            row_len = len(row) if row is not None else 0
+            rows_before = set(fresh_rows.rows)
+            assert gauss_binomial(a, b) == pascal_gauss_binomial(a, b), (a, b)
+            if row is None and a in seen:
+                events["rebuild"] += 1
+            elif row is not None and len(row) > row_len:
+                events["extend"] += 1
+            if rows_before - set(fresh_rows.rows):
+                events["evict"] += 1
+            seen.add(a)
+        assert events["extend"] > 0
+        if cap is not None:
+            assert events["evict"] > 0 and events["rebuild"] > 0
+
+    @pytest.mark.parametrize("a, b", [(5000, 2), (700, 1)])
+    def test_large_row_with_a_cold_cache(self, a, b):
+        # a new interpreter, so the row cache starts cold
+        code = f"from detstrata import gauss_binomial; print(gauss_binomial({a}, {b}).evaluate(1))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert int(proc.stdout) == math.comb(a, b)
+
+
+class TestRowCache:
+    def test_threads_agree_with_reference_under_eviction(self, fresh_rows, monkeypatch):
+        cap = 2000
+        monkeypatch.setattr(qpoly, "_ROW_CACHE_COEFFS", cap)
+        pairs = [(a, b) for a in range(30, 61, 3) for b in range(a + 1)]
+        expected = {pair: pascal_gauss_binomial(*pair) for pair in pairs}
+        failures: list[str] = []
+        finished: list[int] = []
+
+        def worker(seed):
+            order = list(pairs)
+            random.Random(seed).shuffle(order)
+            try:
+                for a, b in order[:150]:
+                    if gauss_binomial(a, b) != expected[a, b]:
+                        failures.append(f"[{a}, {b}] differs")
+            except Exception as exc:  # reported by the main thread
+                failures.append(repr(exc))
+            finished.append(seed)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        for t in threads:
+            assert not t.is_alive()
+        assert failures == []
+        assert sorted(finished) == list(range(8))
+        assert fresh_rows.held == cache_held(fresh_rows)
+        assert fresh_rows.held <= max(cap, prefix_size(60, 30))
+
+    @pytest.mark.parametrize("cap", [3000, 20000])
+    def test_sweep_stays_within_cap(self, fresh_rows, monkeypatch, cap):
+        monkeypatch.setattr(qpoly, "_ROW_CACHE_COEFFS", cap)
+        sweep = range(10, 61, 5)
+        assert sum(prefix_size(a, a // 2) for a in sweep) > cap
+        for a in sweep:
+            for b in range(a + 1):
+                gauss_binomial(a, b)
+                assert fresh_rows.held == cache_held(fresh_rows)
+                assert fresh_rows.held <= max(cap, prefix_size(a, len(fresh_rows.rows[a]) - 1))
+        assert fresh_rows.held <= max(cap, max(prefix_size(a, a // 2) for a in sweep))
+        assert list(fresh_rows.rows)[-1] == 60
