@@ -17,13 +17,19 @@ from .partitions import IntegerWeight
 from .spaces import GENERAL, SYMMETRIC, MatrixSpace
 
 
-def _entry(w: IntegerWeight, i: int) -> float:
+def _entry(w: tuple[int, ...], i: int) -> float:
     """1-indexed entry with +inf below index 1 and -inf past the end."""
     if i < 1:
         return math.inf
     if i > len(w):
         return -math.inf
-    return w.entries[i - 1]
+    return w[i - 1]
+
+
+def _extend(w: tuple[int, ...], s: int, m: int) -> tuple[int, ...]:
+    """Entries of lambda_extension(w, s, m) for a raw tuple, without any check."""
+    d = m - len(w)
+    return tuple(a - d for a in w[:s]) + (s,) * d + w[s:]
 
 
 def lambda_extension(w: IntegerWeight, s: int, m: int) -> IntegerWeight:
@@ -36,14 +42,21 @@ def lambda_extension(w: IntegerWeight, s: int, m: int) -> IntegerWeight:
     n = len(w)
     if not 0 <= s <= n <= m:
         raise ValueError(f"require 0 <= s <= n <= m, got s={s}, n={n}, m={m}")
-    d = m - n
-    entries = (
-        tuple(a - d for a in w.entries[:s]) + (s,) * d + w.entries[s:]
-    )
+    entries = _extend(w.entries, s, m)
     for a, b in zip(entries, entries[1:]):
         if a < b:
             raise ValueError(f"extension of {w} with s={s}, m={m} is not dominant: {entries}")
     return IntegerWeight(entries)
+
+
+def _member_general(w: tuple[int, ...], m: int, p: int) -> bool:
+    """member_general on a raw tuple, for 0 <= p <= len(w) <= m (not checked).
+
+    The boundary convention is spelled out: entry n - p is +inf when p = n,
+    and entry n - p + 1 is -inf when p = 0.
+    """
+    k = len(w) - p
+    return (k == 0 or w[k - 1] >= m - p) and (p == 0 or w[k] <= k)
 
 
 def member_general(w: IntegerWeight, m: int, p: int) -> bool:
@@ -54,7 +67,22 @@ def member_general(w: IntegerWeight, m: int, p: int) -> bool:
     n = len(w)
     if not 0 <= p <= n <= m:
         raise ValueError(f"require 0 <= p <= n <= m, got p={p}, n={n}, m={m}")
-    return _entry(w, n - p) >= m - p and _entry(w, n - p + 1) <= n - p
+    return _member_general(w.entries, m, p)
+
+
+def _member_symmetric(w: tuple[int, ...], p: int) -> bool:
+    """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked)."""
+    n = len(w)
+    k = n - p
+    if k % 2 == 1:
+        if any(a % 2 != 0 for a in w):
+            return False
+        return _entry(w, k) >= k + 1 and _entry(w, k + 2) <= k + 1
+    if any(w[i] % 2 != 1 for i in range(k)):
+        return False
+    if any(w[i] % 2 != 0 for i in range(k, n)):
+        return False
+    return _entry(w, k) >= k + 1 and _entry(w, k + 1) <= k
 
 
 def member_symmetric(w: IntegerWeight, p: int) -> bool:
@@ -67,16 +95,27 @@ def member_symmetric(w: IntegerWeight, p: int) -> bool:
     n = len(w)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
-    k = n - p
-    if k % 2 == 1:
-        if any(a % 2 != 0 for a in w.entries):
+    return _member_symmetric(w.entries, p)
+
+
+def _member_skew(w: tuple[int, ...], p: int) -> bool:
+    """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked)."""
+    n = len(w)
+    half = n // 2
+    k = n - 2 * p
+    if n % 2 == 0:
+        if any(w[2 * i] != w[2 * i + 1] for i in range(half)):
             return False
-        return _entry(w, k) >= k + 1 and _entry(w, k + 2) <= k + 1
-    if any(w.entries[i] % 2 != 1 for i in range(k)):
+        return _entry(w, k) >= k - 1 and _entry(w, k + 1) <= k
+    if _entry(w, k) != k - 1:
         return False
-    if any(w.entries[i] % 2 != 0 for i in range(k, n)):
-        return False
-    return _entry(w, k) >= k + 1 and _entry(w, k + 1) <= k
+    for i in range(1, half - p + 1):
+        if w[2 * i - 2] != w[2 * i - 1]:
+            return False
+    for i in range(half - p + 1, half + 1):
+        if w[2 * i - 1] != w[2 * i]:
+            return False
+    return True
 
 
 def member_skew(w: IntegerWeight, p: int) -> bool:
@@ -89,23 +128,9 @@ def member_skew(w: IntegerWeight, p: int) -> bool:
     below it.
     """
     n = len(w)
-    half = n // 2
-    if not 0 <= p <= half:
+    if not 0 <= p <= n // 2:
         raise ValueError(f"require 0 <= p <= floor(n/2), got p={p}, n={n}")
-    k = n - 2 * p
-    if n % 2 == 0:
-        if any(w.entries[2 * i] != w.entries[2 * i + 1] for i in range(half)):
-            return False
-        return _entry(w, k) >= k - 1 and _entry(w, k + 1) <= k
-    if _entry(w, k) != k - 1:
-        return False
-    for i in range(1, half - p + 1):
-        if w.entries[2 * i - 2] != w.entries[2 * i - 1]:
-            return False
-    for i in range(half - p + 1, half + 1):
-        if w.entries[2 * i - 1] != w.entries[2 * i]:
-            return False
-    return True
+    return _member_skew(w.entries, p)
 
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:

@@ -152,6 +152,15 @@ def _cmd_character(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
+def _first_difference(lhs: StrataMatrix, rhs: StrataMatrix) -> tuple[int, int] | None:
+    """The first cell (i, j), row by row, where two matrices of one order differ."""
+    for i in range(lhs.order):
+        for j in range(lhs.order):
+            if lhs.entry(i, j) != rhs.entry(i, j):
+                return i, j
+    return None
+
+
 def _verify_space(space: MatrixSpace) -> str | None:
     """Run the two-route checks for one space; return a diagnostic or None."""
     for p in space.strata:
@@ -160,24 +169,23 @@ def _verify_space(space: MatrixSpace) -> str | None:
         if enum != closed:
             return f"{space} derham p={p}: enum={enum}, closed={closed}"
     signed = signed_micro(space)
-    if chi_closed(space) != euler_closed(space) * signed:
-        lhs, rhs = chi_closed(space), euler_closed(space) * signed
-        for i in range(lhs.order):
-            for j in range(lhs.order):
-                if lhs.entry(i, j) != rhs.entry(i, j):
-                    return (
-                        f"{space} index identity cell ({i},{j}): "
-                        f"chi={lhs.entry(i, j)}, euler*signed={rhs.entry(i, j)}"
-                    )
-    solved = solve_euler(chi_from_enumeration(space), signed)
     expected = euler_closed(space)
-    for i in range(solved.order):
-        for j in range(solved.order):
-            if solved.entry(i, j) != expected.entry(i, j):
-                return (
-                    f"{space} euler cell ({i},{j}): enumerated={solved.entry(i, j)}, "
-                    f"closed={expected.entry(i, j)}"
-                )
+    lhs, rhs = chi_closed(space), expected * signed
+    cell = _first_difference(lhs, rhs)
+    if cell is not None:
+        i, j = cell
+        return (
+            f"{space} index identity cell ({i},{j}): "
+            f"chi={lhs.entry(i, j)}, euler*signed={rhs.entry(i, j)}"
+        )
+    solved = solve_euler(chi_from_enumeration(space), signed)
+    cell = _first_difference(solved, expected)
+    if cell is not None:
+        i, j = cell
+        return (
+            f"{space} euler cell ({i},{j}): enumerated={solved.entry(i, j)}, "
+            f"closed={expected.entry(i, j)}"
+        )
     return None
 
 

@@ -11,12 +11,21 @@ intersection cohomology.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
-from .characters import lambda_extension, member_general, member_skew, member_symmetric
-from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
+from .characters import _extend, _member_general, _member_skew, _member_symmetric
+from .partitions import _box_partitions, _conjugate
+from .plethysm import _skew_exterior_weights, _symmetric_exterior_weights
 from .qpoly import LaurentPoly, gauss_binomial
 from .spaces import GENERAL, SYMMETRIC, MatrixSpace
+
+# Spaces whose enumerated generating functions stay cached.  A `verify --max 6`
+# sweep touches at most 21 spaces of one family (the reduced spaces behind the
+# enumerated chi rows are among them), and a mixed sweep of all three families
+# up to general(6,6), symmetric(10) and skew(12) touches 42.  An entry holds
+# at most (n + 1)(dim + 1) small counts, far less than the pass that made it.
+_ENUM_CACHE_SPACES = 64
 
 
 def epsilon_symmetric(n: int, p: int) -> int:
@@ -26,43 +35,56 @@ def epsilon_symmetric(n: int, p: int) -> int:
     return 1 if p % 2 == 0 and n % 2 == 1 else 0
 
 
+@lru_cache(maxsize=_ENUM_CACHE_SPACES)
+def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
+    """Every stratum's enumerated generating function, from one pass over the summands.
+
+    Each exterior-power summand, as a raw tuple, is tested against every
+    stratum's character predicate; for general matrices the conjugate must
+    also match the spliced weight extension.  The character sets are
+    disjoint, but no count relies on that: a summand counts for each stratum
+    that accepts it.
+    """
+    n = space.n
+    strata = space.strata
+    counts = [[0] * (space.dim + 1) for _ in strata]
+    if space.family == GENERAL:
+        m = space.m
+        for i in range(space.dim + 1):
+            for mu in _box_partitions(n, m, i):
+                w = mu + (0,) * (n - len(mu))
+                conj = None
+                for p in strata:
+                    if _member_general(w, m, p):
+                        if conj is None:
+                            conj = _conjugate(mu)
+                            conj += (0,) * (m - len(conj))
+                        if conj == _extend(w, n - p, m):
+                            counts[p][i] += 1
+    else:
+        if space.family == SYMMETRIC:
+            weights, member = _symmetric_exterior_weights, _member_symmetric
+        else:
+            weights, member = _skew_exterior_weights, _member_skew
+        for i in range(space.dim + 1):
+            for w in weights(n, i):
+                for p in strata:
+                    if member(w, p):
+                        counts[p][i] += 1
+    return tuple(LaurentPoly(0, tuple(row)) for row in counts)
+
+
 def inv_derham_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
     """Generating function of invariant form degrees, by direct enumeration.
 
     The coefficient of q^i counts the exterior-power summands in degree i
     whose partition lies in the stratum-p character set (for general matrices
     the conjugate must additionally match the spliced weight extension, which
-    pairs the two tensor factors).
+    pairs the two tensor factors).  All strata of a space come from one pass,
+    kept in a per-space cache of bounded size.
     """
     space.check_stratum(p)
-    n = space.n
-    counts: dict[int, int] = {}
-    if space.family == GENERAL:
-        m = space.m
-        for i in range(space.dim + 1):
-            hits = 0
-            for mu in cauchy_exterior(m, n, i):
-                w = mu.to_weight(n)
-                if member_general(w, m, p) and (
-                    mu.conjugate().to_weight(m) == lambda_extension(w, n - p, m)
-                ):
-                    hits += 1
-            counts[i] = hits
-    elif space.family == SYMMETRIC:
-        for i in range(space.dim + 1):
-            counts[i] = sum(
-                1
-                for lam in symmetric_exterior_partitions(n, i)
-                if member_symmetric(lam.to_weight(n), p)
-            )
-    else:
-        for i in range(space.dim + 1):
-            counts[i] = sum(
-                1
-                for lam in skew_exterior_partitions(n, i)
-                if member_skew(lam.to_weight(n), p)
-            )
-    return LaurentPoly.from_terms(counts)
+    return _enum_all(space)[p]
 
 
 def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:

@@ -53,11 +53,7 @@ class Partition:
 
     def conjugate(self) -> Partition:
         """Transpose of the Young diagram: row i of the result counts parts >= i."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for a in self.parts if a >= i) for i in range(1, self.parts[0] + 1))
-        )
+        return Partition(_conjugate(self.parts))
 
     def fits_in(self, rows: int, cols: int) -> bool:
         """Containment in the rows x cols rectangle."""
@@ -114,15 +110,28 @@ class IntegerWeight:
         return not self.entries or self.entries[-1] >= 0
 
 
-def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
-    """All partitions of size k inside the rows x cols box, lexicographically decreasing."""
-    if rows < 0 or cols < 0 or k < 0:
-        raise ValueError("rows, cols, k must be nonnegative")
-    out: list[Partition] = []
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate of weakly decreasing positive parts, unvalidated: row i counts parts >= i.
+
+    Walking the parts from the last, columns parts[j] + 1 .. parts[j - 1] have
+    exactly j boxes.
+    """
+    out: list[int] = []
+    for j in range(len(parts), 0, -1):
+        out += [j] * (parts[j - 1] - len(out))
+    return tuple(out)
+
+
+def _box_partitions(rows: int, cols: int, k: int) -> list[tuple[int, ...]]:
+    """Parts of every partition of k inside the rows x cols box, lexicographically decreasing.
+
+    Unvalidated raw tuples without trailing zeros, for the enumeration route.
+    """
+    out: list[tuple[int, ...]] = []
 
     def fill(prefix: list[int], remaining: int, max_part: int, rows_left: int) -> None:
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         if rows_left == 0:
             return
@@ -136,3 +145,10 @@ def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
 
     fill([], k, cols, rows)
     return out
+
+
+def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
+    """All partitions of size k inside the rows x cols box, lexicographically decreasing."""
+    if rows < 0 or cols < 0 or k < 0:
+        raise ValueError("rows, cols, k must be nonnegative")
+    return [Partition(parts) for parts in _box_partitions(rows, cols, k)]

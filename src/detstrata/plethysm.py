@@ -10,7 +10,7 @@ the Durfee square.
 
 from __future__ import annotations
 
-from .partitions import Partition, enumerate_in_rectangle
+from .partitions import Partition, _box_partitions, _conjugate, enumerate_in_rectangle
 
 
 def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
@@ -28,6 +28,24 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     return enumerate_in_rectangle(n, m, i)
 
 
+def _symmetric_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
+    """The partitions of symmetric_exterior_partitions(n, i) as length-n tuples, unsorted.
+
+    Unvalidated raw tuples padded with zeros, for the enumeration route.
+    """
+    out = []
+    r = 0
+    while r * (r + 1) <= 2 * i:
+        rest = 2 * i - r * (r + 1)
+        # r^2 + r is even, so rest is always even
+        for alpha in _box_partitions(r, n - r, rest // 2):
+            arm = alpha + (0,) * (r - len(alpha))
+            legs = _conjugate(alpha)
+            out.append(tuple(r + 1 + a for a in arm) + legs + (0,) * (n - r - len(legs)))
+        r += 1
+    return out
+
+
 def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
     """Partitions of 2i indexing wedge^i(Sym^2 F), dim F = n.
 
@@ -39,17 +57,24 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 1, got n={n}")
     if not 0 <= i <= n * (n + 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n+1)/2, got i={i}")
+    return sorted((Partition(w) for w in _symmetric_exterior_weights(n, i)), reverse=True)
+
+
+def _skew_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
+    """The partitions of skew_exterior_partitions(n, i) as length-n tuples, unsorted.
+
+    Unvalidated raw tuples padded with zeros, for the enumeration route.
+    """
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
         rest = 2 * i - r * (r + 1)
-        # r^2 + r is even, so rest is always even
-        for alpha in enumerate_in_rectangle(r, n - r, rest // 2):
-            arm = alpha.pad(r)
-            legs = alpha.conjugate().parts
-            out.append(Partition(tuple(r + 1 + a for a in arm) + legs))
+        for alpha in _box_partitions(r, n - r - 1, rest // 2):
+            arm = alpha + (0,) * (r - len(alpha))
+            legs = _conjugate(alpha)
+            out.append(tuple(r + a for a in arm) + (r,) + legs + (0,) * (n - r - 1 - len(legs)))
         r += 1
-    return sorted(out, reverse=True)
+    return out
 
 
 def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
@@ -64,16 +89,7 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 2, got n={n}")
     if not 0 <= i <= n * (n - 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n-1)/2, got i={i}")
-    out = []
-    r = 0
-    while r * (r + 1) <= 2 * i:
-        rest = 2 * i - r * (r + 1)
-        for alpha in enumerate_in_rectangle(r, n - r - 1, rest // 2):
-            arm = alpha.pad(r)
-            legs = alpha.conjugate().parts
-            out.append(Partition(tuple(r + a for a in arm) + (r,) + legs))
-        r += 1
-    return sorted(out, reverse=True)
+    return sorted((Partition(w) for w in _skew_exterior_weights(n, i)), reverse=True)
 
 
 def schur_dimension(p: Partition, N: int) -> int:

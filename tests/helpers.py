@@ -2,9 +2,15 @@
 
 Everything here recomputes quantities from first principles (Weyl dimension
 products, semistandard tableaux, brute-force symmetric powers) so the library
-is checked against code that shares none of its internals.  The one exception
-is the Pascal recursion for q-binomials, which uses ``LaurentPoly`` addition
-and shifts to check the product-step route of ``gauss_binomial``.
+is checked against code that shares none of its internals.  Two exceptions
+check a fast route against the slow one it replaced: the Pascal recursion for
+q-binomials, which uses ``LaurentPoly`` addition and shifts to check the
+product-step route of ``gauss_binomial``, and the per-stratum enumeration,
+which uses the validated public ``Partition``, plethysm and ``member_*`` calls
+to check the one-pass raw-tuple route of ``inv_derham_gf_enum``.  Those public
+calls wrap the same builders and predicates as the route (checked on their own
+in ``test_plethysm`` and ``test_characters``), so this oracle checks the one
+pass: padding, conjugates, and the counting of each summand per stratum.
 """
 
 from __future__ import annotations
@@ -13,7 +19,19 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from detstrata import LaurentPoly
+from detstrata import (
+    GENERAL,
+    SYMMETRIC,
+    LaurentPoly,
+    MatrixSpace,
+    cauchy_exterior,
+    lambda_extension,
+    member_general,
+    member_skew,
+    member_symmetric,
+    skew_exterior_partitions,
+    symmetric_exterior_partitions,
+)
 
 
 def weyl_dimension(parts: tuple[int, ...], N: int) -> int:
@@ -136,3 +154,41 @@ def pascal_gauss_binomial(a: int, b: int) -> LaurentPoly:
     if b == 0 or b == a:
         return LaurentPoly.one()
     return pascal_gauss_binomial(a - 1, b - 1) + pascal_gauss_binomial(a - 1, b).shift(b)
+
+
+def per_stratum_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
+    """The enumerated generating function of one stratum, by its own pass over every degree.
+
+    Counts the exterior-power summands in degree i whose partition lies in the
+    stratum-p character set; for general matrices the conjugate must also
+    match the spliced weight extension.
+    """
+    space.check_stratum(p)
+    n = space.n
+    counts: dict[int, int] = {}
+    if space.family == GENERAL:
+        m = space.m
+        for i in range(space.dim + 1):
+            hits = 0
+            for mu in cauchy_exterior(m, n, i):
+                w = mu.to_weight(n)
+                if member_general(w, m, p) and (
+                    mu.conjugate().to_weight(m) == lambda_extension(w, n - p, m)
+                ):
+                    hits += 1
+            counts[i] = hits
+    elif space.family == SYMMETRIC:
+        for i in range(space.dim + 1):
+            counts[i] = sum(
+                1
+                for lam in symmetric_exterior_partitions(n, i)
+                if member_symmetric(lam.to_weight(n), p)
+            )
+    else:
+        for i in range(space.dim + 1):
+            counts[i] = sum(
+                1
+                for lam in skew_exterior_partitions(n, i)
+                if member_skew(lam.to_weight(n), p)
+            )
+    return LaurentPoly.from_terms(counts)

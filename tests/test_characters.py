@@ -58,6 +58,16 @@ class TestMemberGeneral:
         with pytest.raises(ValueError):
             member_general(W(0, 0, 0), 2, 0)  # n > m
 
+    def test_matches_the_inequalities_with_infinite_boundaries(self):
+        # entry 0 reads +inf and entry n + 1 reads -inf
+        for n in range(1, 5):
+            for entries in dominant_box(n, 4):
+                e = [float("inf"), *entries, float("-inf")]
+                for m in range(n, 6):
+                    for p in range(n + 1):
+                        expected = e[n - p] >= m - p and e[n - p + 1] <= n - p
+                        assert member_general(IntegerWeight(entries), m, p) == expected
+
     def test_accepted_weights_extend_dominantly(self):
         for n in range(1, 6):
             for m in range(n, 6):

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import detstrata
+import detstrata.cli
+from detstrata import StrataMatrix, euler_closed
 from detstrata.cli import main
 
 
@@ -192,6 +194,19 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert "leaves no" in err
+
+    def test_index_identity_mismatch_names_the_cell(self, capsys, monkeypatch):
+        def perturbed(space):
+            rows = [list(row) for row in euler_closed(space).rows]
+            rows[0][-1] += 1
+            return StrataMatrix.from_rows(rows)
+
+        monkeypatch.setattr(detstrata.cli, "euler_closed", perturbed)
+        code, out, err = run(capsys, "verify", "--family", "symm", "--max", "3")
+        assert code == 1
+        assert out == ""
+        # chi_{0,1} = -1; the perturbed e_{0,1} = 2 times the diagonal sign -1
+        assert err == "mismatch: symmetric(1) index identity cell (0,1): chi=-1, euler*signed=-2\n"
 
     def test_deterministic(self, capsys):
         first = run(capsys, "verify", "--family", "symm", "--max", "4")
