@@ -29,7 +29,6 @@ from .obstructions import (
     micro_indices,
     signed_micro,
     solve_euler,
-    stratum_dimension,
     verify_index_identity,
 )
 from .partitions import IntegerWeight, Partition, enumerate_in_rectangle
@@ -72,7 +71,6 @@ __all__ = [
     "signed_micro",
     "skew_exterior_partitions",
     "solve_euler",
-    "stratum_dimension",
     "symmetric_exterior_partitions",
     "verify_index_identity",
 ]

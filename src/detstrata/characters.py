@@ -7,13 +7,20 @@ implement those conditions, with the uniform boundary convention that an
 entry indexed below 1 reads +infinity and one indexed past the length reads
 -infinity, which makes the extreme strata (the whole space and the origin)
 come out right.
+
+Each family also has a candidate rule (``_*_candidates``): the summands that
+can satisfy stratum p's conditions, derived from those conditions alone,
+with the argument that no member is missed and no summand is produced twice
+written in the rule's docstring.  The enumeration route still applies the
+full predicate to every candidate, so a rule that produced too much would
+cost time, never a count.
 """
 
 from __future__ import annotations
 
 import math
 
-from .partitions import IntegerWeight
+from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions
 from .spaces import GENERAL, SYMMETRIC, MatrixSpace
 
 
@@ -59,6 +66,32 @@ def _member_general(w: tuple[int, ...], m: int, p: int) -> bool:
     return (k == 0 or w[k - 1] >= m - p) and (p == 0 or w[k] <= k)
 
 
+def _general_candidates(n: int, m: int, p: int) -> list[tuple[int, ...]]:
+    """Candidate summands mu (raw parts) of wedge(F1 (x) F2) for stratum p of m x n matrices.
+
+    Soundness.  Let s = n - p and d = m - n.  A member mu has w_s >= m - p,
+    so its first s rows contain an s x (m - p) rectangle, and w_{s+1} <= s,
+    so its rows below row s form a partition ``leg`` inside the p x s box.
+    Write row j <= s as m - p + arm_j; arm lies in the s x p box, since
+    mu_1 <= m.  Because m - p >= s >= leg_1, column j of mu has length
+    s + leg'_j for j <= s, length s for s < j <= m - p, and arm'_t for
+    j = m - p + t.  The extension _extend(w, s, m) has entries
+    w_j - d = s + arm_j for j <= s, then d entries s, then leg_1 .. leg_p.
+    The pairing conj(mu) == _extend(w, s, m) therefore says arm_j = leg'_j
+    for j <= s (and, equivalently, arm'_t = leg_t): the arm is the conjugate
+    of the leg.  So every member is m - p + leg'_j (j <= s) followed by leg,
+    for one leg in the p x s box; each leg is used once and gives a
+    different mu, so no summand is produced twice.
+    """
+    s = n - p
+    out = []
+    for k in range(p * s + 1):
+        for leg in _box_partitions(p, s, k):
+            arm = _conjugate(leg)
+            out.append(tuple(m - p + a for a in arm) + (m - p,) * (s - len(arm)) + leg)
+    return out
+
+
 def member_general(w: IntegerWeight, m: int, p: int) -> bool:
     """Whether w (length n) lies in the stratum-p character set for m x n matrices.
 
@@ -83,6 +116,41 @@ def _member_symmetric(w: tuple[int, ...], p: int) -> bool:
     if any(w[i] % 2 != 0 for i in range(k, n)):
         return False
     return _entry(w, k) >= k + 1 and _entry(w, k + 1) <= k
+
+
+def _with_full_first_column(alphas: list[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
+    """Each partition with a column of length r put in front: parts + 1, then ones up to r rows."""
+    return [tuple(a + 1 for a in alpha) + (1,) * (r - len(alpha)) for alpha in alphas]
+
+
+def _symmetric_candidates(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Candidate summands (r, alpha) of wedge(Sym^2 F) for stratum p of symmetric matrices.
+
+    The summand (r, alpha), with alpha inside r x (n - r), has rows
+    r + 1 + alpha_j for j <= r and then the columns alpha'_t <= r, so r is
+    its Durfee size.  Soundness, with k = n - p:
+
+    * Durfee size.  For k even the predicate asks w_k >= k + 1 and
+      w_{k+1} <= k, so r = k.  For k odd it asks w_k >= k + 1 and
+      w_{k+2} <= k + 1, so r is k or k + 1.
+    * r = k.  The first r rows must be odd when k is even and even when k is
+      odd: either way r + 1 + alpha_j has the required parity exactly when
+      alpha_j is even.  The rows below, the columns of alpha, must be even.
+      So alpha has even rows and even columns inside k x p.
+    * r = k + 1, k odd.  Every entry must be even, so alpha_j = w_j - (k + 2)
+      is odd for each j <= r: alpha has r nonempty rows, i.e. a full first
+      column, and its columns are even.  Without that column it has even rows
+      and even columns inside r x (n - r - 1), which needs r < n.
+
+    Both cases list each such alpha once (_doubled_partitions), and the two
+    cases differ in r, so no summand is produced twice.
+    """
+    k = n - p
+    out = [(k, alpha) for alpha in _doubled_partitions(k, p)]
+    if k % 2 == 1 and k + 1 < n:
+        r = k + 1
+        out += [(r, alpha) for alpha in _with_full_first_column(_doubled_partitions(r, p - 2), r)]
+    return out
 
 
 def member_symmetric(w: IntegerWeight, p: int) -> bool:
@@ -116,6 +184,47 @@ def _member_skew(w: tuple[int, ...], p: int) -> bool:
         if w[2 * i - 1] != w[2 * i]:
             return False
     return True
+
+
+def _skew_candidates(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Candidate summands (r, alpha) of wedge(wedge^2 F) for stratum p of skew n x n matrices.
+
+    The summand (r, alpha), with alpha inside r x (n - r - 1), has rows
+    r + alpha_j for j <= r, then one row r, then the columns alpha'_t <= r.
+    Soundness, with k = n - 2p:
+
+    * n odd.  The predicate pins w_k = k - 1.  If r >= k then w_k >= r >= k,
+      and if r <= k - 2 then w_k <= r, so r = k - 1 and w_k is the row r.
+      The pairs w_{2i-1} = w_{2i} above index k pair the rows of alpha, so
+      its columns are even; the pairs w_{2i} = w_{2i+1} below index k pair
+      its columns, so its rows are even.  So alpha has even rows and even
+      columns inside (k - 1) x (n - k).
+    * n even.  The predicate asks w_k >= k - 1, w_{k+1} <= k and the pairs
+      w_{2i-1} = w_{2i} throughout.  If r >= k + 1 then w_{k+1} >= r > k,
+      and if r <= k - 2 then w_k <= r < k - 1, so r is k - 1 or k.
+      - r = k - 1 (odd).  The pair (w_r, w_{r+1}) = (r + alpha_r, r) empties
+        row r of alpha; the pairs above make its columns even, the pairs
+        below, which start at w_{r+2} = alpha'_1, make its rows even.  So
+        alpha has even rows and even columns inside (k - 1) x (n - k), as
+        for n odd.
+      - r = k (even).  The pair (w_{r+1}, w_{r+2}) = (r, alpha'_1) makes the
+        first column of alpha full, of length r; the pairs above make its
+        columns even, and the pairs below, alpha'_{2j} = alpha'_{2j+1}, make
+        the rows even once that column is removed.  So alpha is a full first
+        column plus even rows and even columns inside k x (n - k - 2), which
+        needs k < n.
+
+    Each case lists each such alpha once (_doubled_partitions), and the two
+    cases differ in r, so no summand is produced twice.
+    """
+    k = n - 2 * p
+    out = []
+    if k >= 1:
+        out += [(k - 1, alpha) for alpha in _doubled_partitions(k - 1, n - k)]
+    if k % 2 == 0 and k < n:
+        doubled = _doubled_partitions(k, n - k - 2)
+        out += [(k, alpha) for alpha in _with_full_first_column(doubled, k)]
+    return out
 
 
 def member_skew(w: IntegerWeight, p: int) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .characters import multiplicity
 from .derham import ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
@@ -253,8 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call rather than at import.
+
+    Parsing and reporting usage errors leave a parser unchanged, so one
+    instance serves every call in the process.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handlers = {
         "table": _cmd_table,

@@ -14,9 +14,17 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .characters import _extend, _member_general, _member_skew, _member_symmetric
-from .partitions import _box_partitions, _conjugate
-from .plethysm import _skew_exterior_weights, _symmetric_exterior_weights
+from .characters import (
+    _extend,
+    _general_candidates,
+    _member_general,
+    _member_skew,
+    _member_symmetric,
+    _skew_candidates,
+    _symmetric_candidates,
+)
+from .partitions import _conjugate, _in_box
+from .plethysm import _skew_weight, _symmetric_weight
 from .qpoly import LaurentPoly, gauss_binomial
 from .spaces import GENERAL, SYMMETRIC, MatrixSpace
 
@@ -37,40 +45,43 @@ def epsilon_symmetric(n: int, p: int) -> int:
 
 @lru_cache(maxsize=_ENUM_CACHE_SPACES)
 def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
-    """Every stratum's enumerated generating function, from one pass over the summands.
+    """Every stratum's enumerated generating function, from its candidate summands.
 
-    Each exterior-power summand, as a raw tuple, is tested against every
-    stratum's character predicate; for general matrices the conjugate must
-    also match the spliced weight extension.  The character sets are
-    disjoint, but no count relies on that: a summand counts for each stratum
-    that accepts it.
+    Stratum p's candidates come from its rule in ``characters`` (for general
+    matrices ``_general_candidates``, else ``_symmetric_candidates`` or
+    ``_skew_candidates``), which expands only summands that can meet the
+    stratum's inequalities and parity conditions; each rule's docstring
+    proves it misses no member and produces no summand twice.  Every
+    candidate is checked in full here: it must be a partition inside the
+    summand box, pass the stratum's predicate, and for general matrices its
+    conjugate must match the spliced weight extension.  A rule that produced
+    too much would therefore cost time, never a count.  Nothing relies on the
+    character sets being disjoint: each stratum counts its own candidates.
     """
     n = space.n
-    strata = space.strata
-    counts = [[0] * (space.dim + 1) for _ in strata]
+    counts = [[0] * (space.dim + 1) for _ in space.strata]
     if space.family == GENERAL:
         m = space.m
-        for i in range(space.dim + 1):
-            for mu in _box_partitions(n, m, i):
+        for p in space.strata:
+            for mu in _general_candidates(n, m, p):
+                if not _in_box(mu, n, m):
+                    continue
                 w = mu + (0,) * (n - len(mu))
-                conj = None
-                for p in strata:
-                    if _member_general(w, m, p):
-                        if conj is None:
-                            conj = _conjugate(mu)
-                            conj += (0,) * (m - len(conj))
-                        if conj == _extend(w, n - p, m):
-                            counts[p][i] += 1
+                if _member_general(w, m, p):
+                    conj = _conjugate(mu)
+                    if conj + (0,) * (m - len(conj)) == _extend(w, n - p, m):
+                        counts[p][sum(mu)] += 1
     else:
         if space.family == SYMMETRIC:
-            weights, member = _symmetric_exterior_weights, _member_symmetric
+            candidates, weight, member = _symmetric_candidates, _symmetric_weight, _member_symmetric
         else:
-            weights, member = _skew_exterior_weights, _member_skew
-        for i in range(space.dim + 1):
-            for w in weights(n, i):
-                for p in strata:
-                    if member(w, p):
-                        counts[p][i] += 1
+            candidates, weight, member = _skew_candidates, _skew_weight, _member_skew
+        for p in space.strata:
+            for r, alpha in candidates(n, p):
+                w = weight(n, r, alpha)
+                # w is None when (r, alpha) indexes no summand; |w| = 2 * degree
+                if w is not None and member(w, p):
+                    counts[p][sum(w) // 2] += 1
     return tuple(LaurentPoly(0, tuple(row)) for row in counts)
 
 
@@ -80,8 +91,10 @@ def inv_derham_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
     The coefficient of q^i counts the exterior-power summands in degree i
     whose partition lies in the stratum-p character set (for general matrices
     the conjugate must additionally match the spliced weight extension, which
-    pairs the two tensor factors).  All strata of a space come from one pass,
-    kept in a per-space cache of bounded size.
+    pairs the two tensor factors).  Only the summands that can meet the
+    stratum's conditions are generated, and each is checked against the full
+    predicate.  All strata of a space come from one pass, kept in a per-space
+    cache of bounded size.
     """
     space.check_stratum(p)
     return _enum_all(space)[p]

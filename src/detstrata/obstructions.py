@@ -67,11 +67,6 @@ class StrataMatrix:
         return [list(row) for row in self.rows]
 
 
-def stratum_dimension(space: MatrixSpace, i: int) -> int:
-    """Dimension d_i of the closure of stratum i (per-family formula)."""
-    return space.stratum_dim(i)
-
-
 def micro_indices(space: MatrixSpace) -> StrataMatrix:
     """Unsigned microlocal indices m_{i,j} of the IC modules.
 

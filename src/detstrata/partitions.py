@@ -147,6 +147,34 @@ def _box_partitions(rows: int, cols: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _in_box(parts: tuple[int, ...], rows: int, cols: int) -> bool:
+    """Whether raw parts form a partition (positive, weakly decreasing) inside the rows x cols box.
+
+    A box with a negative side holds nothing, not even the empty partition.
+    """
+    if cols < 0 or len(parts) > rows:
+        return False
+    return all(0 < b <= a for a, b in zip((cols,) + parts, parts))
+
+
+def _doubled_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
+    """Parts of every partition inside the rows x cols box with all rows and columns of even length.
+
+    Columns of even length only means the rows come in equal pairs
+    (parts[2i] == parts[2i + 1]), because parts[j - 1] - parts[j] columns
+    have length exactly j.  With every row even as well, the partition is
+    the 2 x 2 blow-up of beta_i = parts[2i] / 2, and beta lies in the
+    floor(rows / 2) x floor(cols / 2) box.  So the blow-ups of that box's
+    partitions are all of them, each once.
+    """
+    half_rows, half_cols = rows // 2, cols // 2
+    return [
+        tuple(2 * b for b in beta for _ in (0, 1))
+        for k in range(half_rows * half_cols + 1)
+        for beta in _box_partitions(half_rows, half_cols, k)
+    ]
+
+
 def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
     """All partitions of size k inside the rows x cols box, lexicographically decreasing."""
     if rows < 0 or cols < 0 or k < 0:

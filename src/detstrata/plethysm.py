@@ -10,7 +10,7 @@ the Durfee square.
 
 from __future__ import annotations
 
-from .partitions import Partition, _box_partitions, _conjugate, enumerate_in_rectangle
+from .partitions import Partition, _box_partitions, _conjugate, _in_box, enumerate_in_rectangle
 
 
 def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
@@ -28,20 +28,28 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     return enumerate_in_rectangle(n, m, i)
 
 
-def _symmetric_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
-    """The partitions of symmetric_exterior_partitions(n, i) as length-n tuples, unsorted.
+def _symmetric_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The length-n partition of the wedge(Sym^2 F) summand indexed by (r, alpha), raw.
 
-    Unvalidated raw tuples padded with zeros, for the enumeration route.
+    Rows r + 1 + alpha_j for j <= r, then the conjugate of alpha, then zeros.
+    None unless alpha is a partition inside the r x (n - r) box, so a pair
+    that indexes no summand never yields a weight.
     """
+    if not _in_box(alpha, r, n - r):
+        return None
+    arm = tuple(r + 1 + a for a in alpha) + (r + 1,) * (r - len(alpha))
+    legs = _conjugate(alpha)
+    return arm + legs + (0,) * (n - r - len(legs))
+
+
+def _symmetric_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
+    """The partitions of symmetric_exterior_partitions(n, i) as length-n tuples, unsorted."""
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
         rest = 2 * i - r * (r + 1)
         # r^2 + r is even, so rest is always even
-        for alpha in _box_partitions(r, n - r, rest // 2):
-            arm = alpha + (0,) * (r - len(alpha))
-            legs = _conjugate(alpha)
-            out.append(tuple(r + 1 + a for a in arm) + legs + (0,) * (n - r - len(legs)))
+        out += [_symmetric_weight(n, r, alpha) for alpha in _box_partitions(r, n - r, rest // 2)]
         r += 1
     return out
 
@@ -60,19 +68,26 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
     return sorted((Partition(w) for w in _symmetric_exterior_weights(n, i)), reverse=True)
 
 
-def _skew_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
-    """The partitions of skew_exterior_partitions(n, i) as length-n tuples, unsorted.
+def _skew_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The length-n partition of the wedge(wedge^2 F) summand indexed by (r, alpha), raw.
 
-    Unvalidated raw tuples padded with zeros, for the enumeration route.
+    Rows r + alpha_j for j <= r, one row r, then the conjugate of alpha, then
+    zeros.  None unless alpha is a partition inside the r x (n - r - 1) box.
     """
+    if not _in_box(alpha, r, n - r - 1):
+        return None
+    arm = tuple(r + a for a in alpha) + (r,) * (r + 1 - len(alpha))
+    legs = _conjugate(alpha)
+    return arm + legs + (0,) * (n - r - 1 - len(legs))
+
+
+def _skew_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
+    """The partitions of skew_exterior_partitions(n, i) as length-n tuples, unsorted."""
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
         rest = 2 * i - r * (r + 1)
-        for alpha in _box_partitions(r, n - r - 1, rest // 2):
-            arm = alpha + (0,) * (r - len(alpha))
-            legs = _conjugate(alpha)
-            out.append(tuple(r + a for a in arm) + (r,) + legs + (0,) * (n - r - 1 - len(legs)))
+        out += [_skew_weight(n, r, alpha) for alpha in _box_partitions(r, n - r - 1, rest // 2)]
         r += 1
     return out
 

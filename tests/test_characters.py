@@ -3,13 +3,18 @@ import pytest
 from detstrata import (
     IntegerWeight,
     MatrixSpace,
+    cauchy_exterior,
     enumerate_in_rectangle,
     lambda_extension,
     member_general,
     member_skew,
     member_symmetric,
     multiplicity,
+    skew_exterior_partitions,
+    symmetric_exterior_partitions,
 )
+from detstrata.characters import _general_candidates, _skew_candidates, _symmetric_candidates
+from detstrata.plethysm import _skew_weight, _symmetric_weight
 
 from helpers import (
     decompose_into_schur,
@@ -160,6 +165,47 @@ class TestDisjointness:
                 w = IntegerWeight(entries)
                 hits = [p for p in range(n // 2 + 1) if member_skew(w, p)]
                 assert len(hits) <= 1, (n, entries, hits)
+
+
+class TestCandidateRules:
+    """Each stratum's rule lists distinct summands and misses none of its members."""
+
+    def test_general(self):
+        for n in range(1, 7):
+            for m in range(n, 8):
+                summands = [mu for i in range(m * n + 1) for mu in cauchy_exterior(m, n, i)]
+                for p in range(n + 1):
+                    members = {
+                        mu.parts
+                        for mu in summands
+                        if member_general(mu.to_weight(n), m, p)
+                        and mu.conjugate().to_weight(m)
+                        == lambda_extension(mu.to_weight(n), n - p, m)
+                    }
+                    got = _general_candidates(n, m, p)
+                    assert len(got) == len(set(got))
+                    assert members <= set(got), (m, n, p)
+
+    @pytest.mark.parametrize(
+        "space_of, sizes, summands, member, candidates, weight",
+        [
+            (MatrixSpace.symmetric, range(1, 11), symmetric_exterior_partitions, member_symmetric,
+             _symmetric_candidates, _symmetric_weight),
+            (MatrixSpace.skew, range(2, 13), skew_exterior_partitions, member_skew,
+             _skew_candidates, _skew_weight),
+        ],
+        ids=["symmetric", "skew"],
+    )
+    def test_symmetric_and_skew(self, space_of, sizes, summands, member, candidates, weight):
+        for n in sizes:
+            space = space_of(n)
+            weights = [lam.to_weight(n) for i in range(space.dim + 1) for lam in summands(n, i)]
+            for p in space.strata:
+                members = {w.entries for w in weights if member(w, p)}
+                got = [weight(n, r, alpha) for r, alpha in candidates(n, p)]
+                assert None not in got
+                assert len(got) == len(set(got))
+                assert members <= set(got), (n, p)
 
 
 class TestMultiplicity:

@@ -247,3 +247,41 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--family", "skew", "--n", "1", "--kind", "euler"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["derham", "--family", "general", "--m", "3", "--n", "2", "--p", "1", "--check"],
+        ["table", "--family", "symm", "--n", "3", "--kind", "euler", "--format", "csv"],
+        ["table", "--family", "general", "--n", "2", "--kind", "euler"],  # --m missing
+        ["character", "--family", "skew", "--n", "4", "--p", "1", "--weight", "2,2,1,1"],
+        ["table", "--family", "hermitian", "--n", "2", "--kind", "euler"],  # bad choice
+        ["verify", "--family", "skew", "--max", "5"],
+        ["derham", "--family", "symm", "--n", "2", "--p", "3"],  # stratum out of range
+        ["table", "--family", "symm", "--n", "3", "--kind", "euler", "--format", "csv"],
+    ]
+
+    @staticmethod
+    def outcomes(capsys):
+        results = []
+        for argv in TestParserReuse.ARGVS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    def test_one_parser_serves_every_call_like_fresh_ones(self, capsys, monkeypatch):
+        detstrata.cli._parser.cache_clear()
+        reused = self.outcomes(capsys)
+        assert detstrata.cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(detstrata.cli, "_parser", detstrata.cli.build_parser)
+        fresh = self.outcomes(capsys)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 2, 0]
+        assert all(err.startswith("usage: detstrata") for code, _, err in reused if code == 2)
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert detstrata.cli.build_parser() is not detstrata.cli.build_parser()

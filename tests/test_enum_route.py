@@ -19,6 +19,7 @@ from detstrata import (
     inv_derham_gf_closed,
     inv_derham_gf_enum,
     obstructions,
+    plethysm,
     qpoly,
     signed_micro,
     solve_euler,
@@ -164,6 +165,58 @@ class TestSpaceCache:
         info = fresh_enum_cache.cache_info()
         assert info.currsize <= derham._ENUM_CACHE_SPACES
         assert info.misses > derham._ENUM_CACHE_SPACES
+
+
+class TestLeafCheckIsLive:
+    """The candidate rules prune, but every candidate still meets the full predicate."""
+
+    SPACES = (
+        [MatrixSpace.general(m, n) for n, m in ((1, 1), (3, 5), (4, 4), (6, 7))]
+        + [MatrixSpace.symmetric(n) for n in (1, 6, 9)]
+        + [MatrixSpace.skew(n) for n in (2, 7, 10)]
+    )
+
+    def test_a_predicate_that_rejects_everything_counts_nothing(
+        self, fresh_enum_cache, monkeypatch
+    ):
+        for space in self.SPACES:
+            assert not all(inv_derham_gf_enum(space, p).is_zero for p in space.strata)
+        fresh_enum_cache.cache_clear()
+        for name in ("_member_general", "_member_symmetric", "_member_skew"):
+            monkeypatch.setattr(derham, name, lambda *args: False)
+        for space in self.SPACES:
+            for p in space.strata:
+                assert inv_derham_gf_enum(space, p).is_zero, (str(space), p)
+
+    def test_a_box_that_holds_nothing_counts_nothing(self, fresh_enum_cache, monkeypatch):
+        for module in (derham, plethysm):
+            monkeypatch.setattr(module, "_in_box", lambda *args: False)
+        for space in self.SPACES:
+            for p in space.strata:
+                assert inv_derham_gf_enum(space, p).is_zero, (str(space), p)
+
+    def test_a_failing_general_pairing_counts_nothing(self, fresh_enum_cache, monkeypatch):
+        monkeypatch.setattr(derham, "_extend", lambda *args: None)
+        for space in self.SPACES:
+            for p in space.strata:
+                poly = inv_derham_gf_enum(space, p)
+                if space.family == detstrata.GENERAL:
+                    assert poly.is_zero, (str(space), p)
+                else:
+                    assert poly == per_stratum_gf_enum(space, p), (str(space), p)
+
+
+def test_two_routes_agree_far_beyond_the_acceptance_range():
+    spaces = (
+        [MatrixSpace.general(m, n) for n in range(1, 13) for m in range(n, min(n + 2, 12) + 1)]
+        + [MatrixSpace.symmetric(n) for n in range(1, 17)]
+        + [MatrixSpace.skew(n) for n in range(2, 19)]
+    )
+    for space in spaces:
+        for p in space.strata:
+            assert inv_derham_gf_enum(space, p) == inv_derham_gf_closed(space, p), (str(space), p)
+        solved = solve_euler(chi_from_enumeration(space), signed_micro(space))
+        assert solved == euler_closed(space), str(space)
 
 
 @pytest.mark.slow

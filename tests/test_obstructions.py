@@ -9,7 +9,6 @@ from detstrata import (
     micro_indices,
     signed_micro,
     solve_euler,
-    stratum_dimension,
     verify_index_identity,
 )
 
@@ -43,11 +42,11 @@ class TestStrataMatrix:
 class TestStratumDimension:
     def test_examples(self):
         sym2 = MatrixSpace.symmetric(2)
-        assert [stratum_dimension(sym2, i) for i in range(3)] == [0, 2, 3]
+        assert [sym2.stratum_dim(i) for i in range(3)] == [0, 2, 3]
         for n in range(1, 4):
             for m in range(n, 5):
-                assert stratum_dimension(MatrixSpace.general(m, n), 0) == 0
-        assert stratum_dimension(MatrixSpace.skew(5), 2) == 10
+                assert MatrixSpace.general(m, n).stratum_dim(0) == 0
+        assert MatrixSpace.skew(5).stratum_dim(2) == 10
 
     def test_top_stratum_fills_the_space(self):
         for sp in RANGE_SPACES:
@@ -55,7 +54,7 @@ class TestStratumDimension:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            stratum_dimension(MatrixSpace.symmetric(2), 3)
+            MatrixSpace.symmetric(2).stratum_dim(3)
 
 
 class TestMicroIndices:

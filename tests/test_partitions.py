@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detstrata import IntegerWeight, Partition, enumerate_in_rectangle, gauss_binomial
+from detstrata.partitions import _doubled_partitions, _in_box
 
 
 def all_in_box(rows, cols):
@@ -122,6 +123,34 @@ class TestEnumerateInRectangle:
                 poly = gauss_binomial(a, b)
                 for k in range(b * (a - b) + 1):
                     assert poly.coefficient(k) == len(enumerate_in_rectangle(a - b, b, k))
+
+
+class TestRawBoxHelpers:
+    def test_in_box_matches_fits_in_on_partitions(self):
+        for rows in range(5):
+            for cols in range(5):
+                for p in all_in_box(4, 4):
+                    assert _in_box(p.parts, rows, cols) == p.fits_in(rows, cols)
+
+    def test_in_box_rejects_non_partitions_and_negative_sides(self):
+        assert not _in_box((1, 2), 3, 3)
+        assert not _in_box((2, 0), 3, 3)
+        assert not _in_box((), 2, -1)
+        assert not _in_box((), -1, 2)
+        assert _in_box((), 0, 0)
+
+    def test_doubled_partitions_are_those_with_even_rows_and_columns(self):
+        for rows in range(7):
+            for cols in range(7):
+                expected = {
+                    p.parts
+                    for p in all_in_box(rows, cols)
+                    if all(a % 2 == 0 for a in p.parts)
+                    and all(a % 2 == 0 for a in p.conjugate().parts)
+                }
+                got = _doubled_partitions(rows, cols)
+                assert len(got) == len(set(got))
+                assert set(got) == expected, (rows, cols)
 
 
 class TestIntegerWeight:
