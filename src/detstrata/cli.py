@@ -65,13 +65,15 @@ def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str)
 def _print_ic(space: MatrixSpace, fmt: str) -> None:
     polys = [ic_poincare(space, p) for p in space.strata]
     if fmt == "json":
-        print(_dumps({
+        # "polys" sorts after the other keys, so the polys close the object.
+        head = _dumps({
             "family": space.family,
             "params": space.params(),
             "kind": "ic",
             "order": space.num_strata,
-            "polys": [poly.to_json() for poly in polys],
-        }))
+        })
+        texts = ", ".join(poly._json_text() for poly in polys)
+        print(head[:-1], ', "polys": [', texts, "]}", sep="")
     elif fmt == "csv":
         print("stratum,exponent,coefficient")
         for p, poly in enumerate(polys):

@@ -30,6 +30,23 @@ def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return min_exp + lo, coeffs[lo:hi]
 
 
+def _stride(coeffs: tuple[int, ...]) -> int:
+    """The step g of a trimmed run's zero pattern: every offset off a multiple of g holds 0.
+
+    g is the first gap after the leading coefficient, confirmed on every other
+    residue slice; it is 1 when that check fails or the run has fewer than two terms.
+    """
+    g = 1
+    while g < len(coeffs) and coeffs[g] == 0:
+        g += 1
+    if g >= len(coeffs):
+        return 1
+    for r in range(1, g):
+        if any(coeffs[r::g]):
+            return 1
+    return g
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Integer Laurent polynomial, stored as a dense coefficient run.
@@ -156,7 +173,8 @@ class LaurentPoly:
         if x == 1:
             return sum(self.coeffs)
         if x == -1:
-            return sum(c if (self.min_exp + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs))
+            alternating = sum(self.coeffs[0::2]) - sum(self.coeffs[1::2])
+            return -alternating if self.min_exp % 2 else alternating
         return sum(c * x ** (self.min_exp + i) for i, c in enumerate(self.coeffs) if c != 0)
 
     def __str__(self) -> str:
@@ -181,6 +199,22 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
+
+    def _json_text(self) -> str:
+        """Exactly ``json.dumps(self.to_json(), sort_keys=True)``, formatting ``coeffs[::g]`` only.
+
+        The g - 1 zeros between stride steps are joined in as text, and a
+        palindromic stride run formats its first half and mirrors the strings.
+        """
+        g = _stride(self.coeffs)
+        run = self.coeffs[::g]
+        if run == run[::-1]:
+            half = list(map(str, run[: (len(run) + 1) // 2]))
+            texts = half + half[: len(run) // 2][::-1]
+        else:
+            texts = list(map(str, run))
+        body = (", " + "0, " * (g - 1)).join(texts)
+        return f'{{"coeffs": [{body}], "min_exp": {self.min_exp}}}'
 
     @classmethod
     def from_json(cls, data: dict) -> LaurentPoly:

@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities from first principles (Weyl dimension
 products, semistandard tableaux, brute-force symmetric powers) so the library
-is checked against code that shares none of its internals.  Two exceptions
+is checked against code that shares none of its internals.  Three exceptions
 check a fast route against the slow one it replaced: the Pascal recursion for
 q-binomials, which uses ``LaurentPoly`` addition and shifts to check the
 product-step route of ``gauss_binomial``, and the per-stratum enumeration,
@@ -11,10 +11,13 @@ to check the one-pass raw-tuple route of ``inv_derham_gf_enum``.  Those public
 calls wrap the same builders and predicates as the route (checked on their own
 in ``test_plethysm`` and ``test_characters``), so this oracle checks the one
 pass: padding, conjugates, and the counting of each summand per stratum.
+The third is the renderer at the end: the ``json.dumps`` composition of the
+IC table, which the direct IC JSON writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -29,6 +32,7 @@ from detstrata import (
     member_general,
     member_skew,
     member_symmetric,
+    ic_poincare,
     skew_exterior_partitions,
     symmetric_exterior_partitions,
 )
@@ -192,3 +196,14 @@ def per_stratum_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
                 if member_skew(lam.to_weight(n), p)
             )
     return LaurentPoly.from_terms(counts)
+
+
+def reference_ic_json(space: MatrixSpace) -> str:
+    """``table --kind ic --format json`` as one ``json.dumps`` of the whole table, without newline."""
+    return json.dumps({
+        "family": space.family,
+        "params": space.params(),
+        "kind": "ic",
+        "order": space.num_strata,
+        "polys": [ic_poincare(space, p).to_json() for p in space.strata],
+    }, sort_keys=True)

@@ -4,10 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from helpers import reference_ic_json
 
 import detstrata
 import detstrata.cli
-from detstrata import StrataMatrix, euler_closed
+from detstrata import MatrixSpace, StrataMatrix, euler_closed, ic_poincare, qpoly
 from detstrata.cli import main
 
 
@@ -31,12 +32,13 @@ class TestTable:
         assert data["kind"] == "euler"
 
     def test_json_round_trips_byte_identical(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--family", "general", "--m", "3", "--n", "2", "--kind", "chi",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
+        for kind in ("chi", "ic"):
+            code, out, _ = run(
+                capsys, "table", "--family", "general", "--m", "3", "--n", "2", "--kind", kind,
+                "--format", "json",
+            )
+            assert code == 0
+            assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
 
     def test_micro_signed_flag(self, capsys):
         _, unsigned, _ = run(
@@ -84,6 +86,55 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0] == "stratum,exponent,coefficient"
         assert "1,-5,1" in out.splitlines()
+
+
+IC_JSON_SPACES = (
+    [MatrixSpace.general(m, n) for n in range(1, 7) for m in range(n, 7)]
+    + [MatrixSpace.symmetric(n) for n in range(1, 13)]
+    + [MatrixSpace.skew(n) for n in range(2, 13)]
+    + [MatrixSpace.general(30, 30), MatrixSpace.symmetric(60), MatrixSpace.skew(60)]
+)
+
+
+def cli_args(space):
+    token = {family: tok for tok, family in detstrata.cli.FAMILY_TOKENS.items()}[space.family]
+    m = ["--m", str(space.m)] if space.family == detstrata.GENERAL else []
+    return ["--family", token, *m, "--n", str(space.n)]
+
+
+class TestIcJson:
+    @pytest.mark.parametrize("space", IC_JSON_SPACES, ids=str)
+    def test_equals_the_json_dumps_composition(self, capsys, space):
+        code, out, _ = run(capsys, "table", *cli_args(space), "--kind", "ic", "--format", "json")
+        assert code == 0
+        assert out == reference_ic_json(space) + "\n"
+
+    def test_stride_and_palindrome_paths_run(self, capsys, monkeypatch):
+        """symmetric(40): every IC polynomial is strided by 4 and palindromic, so both shortcuts act."""
+        strides, formatted = [], []
+
+        def spy_stride(coeffs, real=qpoly._stride):
+            strides.append((len(coeffs), real(coeffs)))
+            return strides[-1][1]
+
+        def spy_str(value):
+            formatted.append(value)
+            return format(value)
+
+        monkeypatch.setattr(qpoly, "_stride", spy_stride)
+        monkeypatch.setattr(qpoly, "str", spy_str, raising=False)
+        code, out, _ = run(capsys, "table", "--family", "symm", "--n", "40", "--kind", "ic",
+                           "--format", "json")
+        monkeypatch.undo()
+        assert code == 0
+        space = MatrixSpace.symmetric(40)
+        assert out == reference_ic_json(space) + "\n"
+        assert len(strides) == space.num_strata
+        multi_term = [g for length, g in strides if length > 1]
+        assert len(multi_term) > space.num_strata // 2
+        assert set(multi_term) == {4}
+        runs = [ic_poincare(space, p).coeffs[::4] for p in space.strata]
+        assert len(formatted) == sum((len(r) + 1) // 2 for r in runs) < sum(map(len, runs))
 
 
 class TestDerham:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 from helpers import pascal_gauss_binomial
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detstrata import LaurentPoly, enumerate_in_rectangle, gauss_binomial, qpoly
@@ -56,6 +56,40 @@ def cancelling_pairs(draw):
     for e, c in terms(draw(wide_polys)).items():
         out.setdefault(e, c)
     return a, LaurentPoly.from_terms(out)
+
+
+# Small, negative and beyond-64-bit coefficients.
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1]),
+)
+
+
+@st.composite
+def strided_polys(draw):
+    """Runs shaped like the closed route's: stride 1-5 by substitute_power, often palindromic.
+
+    A near-palindrome is a palindrome with one coefficient changed.  Empty
+    and one-entry draws give the zero polynomial and one-term polynomials.
+    """
+    half = draw(st.lists(coefficients, max_size=6))
+    shape = draw(st.sampled_from(["plain", "palindrome", "near-palindrome"]))
+    run = half
+    if shape != "plain":
+        run = half + draw(st.lists(coefficients, max_size=1)) + half[::-1]
+    if shape == "near-palindrome" and run:
+        run[draw(st.integers(0, len(run) - 1))] += draw(st.sampled_from([-1, 1]))
+    poly = LaurentPoly(draw(st.integers(-30, 30)), tuple(run))
+    return poly.substitute_power(draw(st.integers(1, 5)))
+
+
+# Arbitrary supports, so the first gap need not be the stride: {0, 4, 6} has gcd 2.
+sparse_polys = st.builds(
+    LaurentPoly.from_terms,
+    st.dictionaries(st.integers(-20, 20), st.integers(-3, 3).filter(bool), max_size=5),
+)
+rendered_polys = st.one_of(strided_polys(), sparse_polys, wide_polys)
 
 
 def prefix_size(a, k):
@@ -181,6 +215,11 @@ class TestEvaluate:
         p = LaurentPoly(-3, (1, 0, 2, 1))  # q^-3 + 2 q^-1 + 1
         assert p.evaluate(-1) == -1 - 2 + 1
 
+    @given(rendered_polys)
+    def test_units_match_the_term_sums(self, p):
+        assert p.evaluate(1) == sum(terms(p).values())
+        assert p.evaluate(-1) == sum(c * (-1) ** (e % 2) for e, c in terms(p).items())
+
     def test_rejects_non_unit_with_negative_exponents(self):
         p = LaurentPoly(-1, (1,))
         with pytest.raises(ValueError):
@@ -200,6 +239,29 @@ class TestRendering:
         p = LaurentPoly(-2, (1, 0, 3))
         data = json.loads(json.dumps(p.to_json()))
         assert LaurentPoly.from_json(data) == p
+
+    @given(rendered_polys)
+    @example(LaurentPoly.zero())
+    @example(LaurentPoly.q_power(-7, -(2**70)))
+    @example(LaurentPoly(-9, (2**65, 0, 0, 5, 0, 0, 2**65)))
+    @example(LaurentPoly(3, (1, 0, 0, 0, 1, 0, 1)))
+    def test_json_text_matches_json_dumps(self, p):
+        assert p._json_text() == json.dumps(p.to_json(), sort_keys=True)
+
+    @given(rendered_polys)
+    @example(LaurentPoly(0, (1, 0, 0, 0, 1, 0, 1)))
+    def test_stride_against_the_gcd_of_the_support(self, p):
+        offsets = [k for k, c in enumerate(p.coeffs) if c]
+        g = qpoly._stride(p.coeffs)
+        assert all(c == 0 for k, c in enumerate(p.coeffs) if k % g)
+        if len(offsets) > 1 and offsets[1] == math.gcd(*offsets):
+            assert g == offsets[1]
+        else:  # one term, or a first gap that is not the stride
+            assert g == 1
+
+    def test_stride_of_the_closed_route(self):
+        assert qpoly._stride(gauss_binomial(9, 4).substitute_power(4).coeffs) == 4
+        assert qpoly._stride(gauss_binomial(9, 4).coeffs) == 1
 
 
 class TestGaussBinomial:
