@@ -14,14 +14,9 @@ from .characters import (
     member_symmetric,
     multiplicity,
 )
-from .derham import (
-    epsilon_symmetric,
-    euler_char_at_origin,
-    ic_poincare,
-    inv_derham_gf_closed,
-    inv_derham_gf_enum,
-)
+from .derham import euler_char_at_origin, ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
 from .obstructions import (
+    Mismatch,
     StrataMatrix,
     chi_closed,
     chi_from_enumeration,
@@ -29,6 +24,7 @@ from .obstructions import (
     micro_indices,
     signed_micro,
     solve_euler,
+    verify,
     verify_index_identity,
 )
 from .partitions import IntegerWeight, Partition, enumerate_in_rectangle
@@ -39,7 +35,7 @@ from .plethysm import (
     symmetric_exterior_partitions,
 )
 from .qpoly import LaurentPoly, gauss_binomial
-from .spaces import GENERAL, SKEW, SYMMETRIC, MatrixSpace
+from .spaces import GENERAL, SKEW, SYMMETRIC, MatrixSpace, epsilon_symmetric
 
 __all__ = [
     "GENERAL",
@@ -48,6 +44,7 @@ __all__ = [
     "IntegerWeight",
     "LaurentPoly",
     "MatrixSpace",
+    "Mismatch",
     "Partition",
     "StrataMatrix",
     "cauchy_exterior",
@@ -72,5 +69,6 @@ __all__ = [
     "skew_exterior_partitions",
     "solve_euler",
     "symmetric_exterior_partitions",
+    "verify",
     "verify_index_identity",
 ]

@@ -19,9 +19,12 @@ cost time, never a count.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions
-from .spaces import GENERAL, SYMMETRIC, MatrixSpace
+
+if TYPE_CHECKING:
+    from .spaces import MatrixSpace
 
 
 def _entry(w: tuple[int, ...], i: int) -> float:
@@ -247,10 +250,4 @@ def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
     space.check_stratum(p)
     if len(w) != space.n:
         raise ValueError(f"weight length {len(w)} does not match n={space.n}")
-    if space.family == GENERAL:
-        accepted = member_general(w, space.m, p)
-    elif space.family == SYMMETRIC:
-        accepted = member_symmetric(w, p)
-    else:
-        accepted = member_skew(w, p)
-    return 1 if accepted else 0
+    return 1 if space.record.accepts(space, p, w.entries) else 0

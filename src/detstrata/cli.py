@@ -9,20 +9,12 @@ from functools import lru_cache
 
 from .characters import multiplicity
 from .derham import ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
-from .obstructions import (
-    StrataMatrix,
-    chi_closed,
-    chi_from_enumeration,
-    euler_closed,
-    micro_indices,
-    signed_micro,
-    solve_euler,
-)
+from .obstructions import StrataMatrix, chi_closed, euler_closed, micro_indices, signed_micro, verify
 from .partitions import IntegerWeight
 from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
-from .spaces import GENERAL, SKEW, SYMMETRIC, MatrixSpace
+from .spaces import FAMILIES, GENERAL, MatrixSpace, spaces_up_to
 
-FAMILY_TOKENS = {"general": GENERAL, "symm": SYMMETRIC, "skew": SKEW}
+FAMILY_TOKENS = {record.token: family for family, record in FAMILIES.items()}
 
 
 def _dumps(obj) -> str:
@@ -31,14 +23,13 @@ def _dumps(obj) -> str:
 
 def _build_space(parser: argparse.ArgumentParser, args: argparse.Namespace) -> MatrixSpace:
     family = FAMILY_TOKENS[args.family]
+    if FAMILIES[family].takes_m:
+        if args.m is None:
+            parser.error(f"--m is required for --family {args.family}")
+    elif args.m is not None:
+        parser.error(f"--m is only meaningful for --family {GENERAL}")
     try:
-        if family == GENERAL:
-            if args.m is None:
-                parser.error("--m is required for --family general")
-            return MatrixSpace.general(args.m, args.n)
-        if args.m is not None:
-            parser.error("--m is only meaningful for --family general")
-        return MatrixSpace(family, args.n)
+        return MatrixSpace(family, args.n, args.m)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -85,6 +76,8 @@ def _print_ic(space: MatrixSpace, fmt: str) -> None:
 
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.signed and args.kind != "micro":
+        parser.error(f"--signed only applies to --kind micro, not --kind {args.kind}")
     space = _build_space(parser, args)
     if args.kind == "ic":
         _print_ic(space, args.format)
@@ -155,60 +148,15 @@ def _cmd_character(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
-def _first_difference(lhs: StrataMatrix, rhs: StrataMatrix) -> tuple[int, int] | None:
-    """The first cell (i, j), row by row, where two matrices of one order differ."""
-    for i in range(lhs.order):
-        for j in range(lhs.order):
-            if lhs.entry(i, j) != rhs.entry(i, j):
-                return i, j
-    return None
-
-
-def _verify_space(space: MatrixSpace) -> str | None:
-    """Run the two-route checks for one space; return a diagnostic or None."""
-    for p in space.strata:
-        enum = inv_derham_gf_enum(space, p)
-        closed = inv_derham_gf_closed(space, p)
-        if enum != closed:
-            return f"{space} derham p={p}: enum={enum}, closed={closed}"
-    signed = signed_micro(space)
-    expected = euler_closed(space)
-    lhs, rhs = chi_closed(space), expected * signed
-    cell = _first_difference(lhs, rhs)
-    if cell is not None:
-        i, j = cell
-        return (
-            f"{space} index identity cell ({i},{j}): "
-            f"chi={lhs.entry(i, j)}, euler*signed={rhs.entry(i, j)}"
-        )
-    solved = solve_euler(chi_from_enumeration(space), signed)
-    cell = _first_difference(solved, expected)
-    if cell is not None:
-        i, j = cell
-        return (
-            f"{space} euler cell ({i},{j}): enumerated={solved.entry(i, j)}, "
-            f"closed={expected.entry(i, j)}"
-        )
-    return None
-
-
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
-    spaces: list[MatrixSpace] = []
-    if family == GENERAL:
-        for n in range(1, args.max + 1):
-            for m in range(n, args.max + 1):
-                spaces.append(MatrixSpace.general(m, n))
-    elif family == SYMMETRIC:
-        spaces = [MatrixSpace.symmetric(n) for n in range(1, args.max + 1)]
-    else:
-        spaces = [MatrixSpace.skew(n) for n in range(2, args.max + 1)]
+    spaces = spaces_up_to(family, args.max)
     if not spaces:
         parser.error(f"--max {args.max} leaves no {family} space to verify")
     for space in spaces:
-        diagnostic = _verify_space(space)
-        if diagnostic is not None:
-            print(f"mismatch: {diagnostic}", file=sys.stderr)
+        mismatch = verify(space)
+        if mismatch is not None:
+            print(f"mismatch: {mismatch}", file=sys.stderr)
             return 1
         print(f"ok {space}")
     return 0

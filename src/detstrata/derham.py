@@ -12,21 +12,11 @@ intersection cohomology.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
-from .characters import (
-    _extend,
-    _general_candidates,
-    _member_general,
-    _member_skew,
-    _member_symmetric,
-    _skew_candidates,
-    _symmetric_candidates,
-)
+from .characters import _extend
 from .partitions import _conjugate, _in_box
-from .plethysm import _skew_weight, _symmetric_weight
 from .qpoly import LaurentPoly, gauss_binomial
-from .spaces import GENERAL, SYMMETRIC, MatrixSpace
+from .spaces import MatrixSpace
 
 # Spaces whose enumerated generating functions stay cached.  A `verify --max 6`
 # sweep touches at most 21 spaces of one family (the reduced spaces behind the
@@ -36,46 +26,35 @@ from .spaces import GENERAL, SYMMETRIC, MatrixSpace
 _ENUM_CACHE_SPACES = 64
 
 
-def epsilon_symmetric(n: int, p: int) -> int:
-    """The correction bit for symmetric spaces: 1 iff p is even and n is odd."""
-    if not 0 <= p <= n:
-        raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
-    return 1 if p % 2 == 0 and n % 2 == 1 else 0
-
-
 @lru_cache(maxsize=_ENUM_CACHE_SPACES)
 def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
     """Every stratum's enumerated generating function, from its candidate summands.
 
-    Stratum p's candidates come from its rule in ``characters`` (for general
-    matrices ``_general_candidates``, else ``_symmetric_candidates`` or
-    ``_skew_candidates``), which expands only summands that can meet the
-    stratum's inequalities and parity conditions; each rule's docstring
-    proves it misses no member and produces no summand twice.  Every
+    Stratum p's candidates come from the rule in the space's family record,
+    one of the ``_*_candidates`` rules of ``characters``, whose docstrings
+    prove that they miss no member and produce no summand twice.  Every
     candidate is checked in full here: it must be a partition inside the
-    summand box, pass the stratum's predicate, and for general matrices its
+    summand box and pass the stratum's predicate, and a paired partition's
     conjugate must match the spliced weight extension.  A rule that produced
     too much would therefore cost time, never a count.  Nothing relies on the
     character sets being disjoint: each stratum counts its own candidates.
     """
     n = space.n
     counts = [[0] * (space.dim + 1) for _ in space.strata]
-    if space.family == GENERAL:
+    record = space.record
+    candidates, weight, member = record.candidates, record.weight, record.member
+    if weight is None:
         m = space.m
         for p in space.strata:
-            for mu in _general_candidates(n, m, p):
+            for mu in candidates(n, m, p):
                 if not _in_box(mu, n, m):
                     continue
                 w = mu + (0,) * (n - len(mu))
-                if _member_general(w, m, p):
+                if member(w, m, p):
                     conj = _conjugate(mu)
                     if conj + (0,) * (m - len(conj)) == _extend(w, n - p, m):
                         counts[p][sum(mu)] += 1
     else:
-        if space.family == SYMMETRIC:
-            candidates, weight, member = _symmetric_candidates, _symmetric_weight, _member_symmetric
-        else:
-            candidates, weight, member = _skew_candidates, _skew_weight, _member_skew
         for p in space.strata:
             for r, alpha in candidates(n, p):
                 w = weight(n, r, alpha)
@@ -103,27 +82,13 @@ def inv_derham_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
 def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:
     """Closed form of the same generating function: a q-binomial times a power of q.
 
-    general(m,n):  [n, p] in q^2, shifted by (m-p)(n-p)
-    symmetric(n):  [floor(n/2)+eps, floor(p/2)] in q^4, shifted by binom(n-p+1, 2)
-    skew(n):       [floor(n/2), p] in q^4, shifted by binom(n,2) - p(2n-2p-1)
+    The family record gives the q-binomial and the power of q it is taken in;
+    the shift is the codimension dim - d_p of the stratum closure.
     """
-    space.check_stratum(p)
-    n = space.n
-    if space.family == GENERAL:
-        return gauss_binomial(n, p).substitute_power(2).shift((space.m - p) * (n - p))
-    if space.family == SYMMETRIC:
-        half = n // 2
-        return (
-            gauss_binomial(half + epsilon_symmetric(n, p), p // 2)
-            .substitute_power(4)
-            .shift(comb(n - p + 1, 2))
-        )
-    half = n // 2
-    return (
-        gauss_binomial(half, p)
-        .substitute_power(4)
-        .shift(comb(n, 2) - p * (2 * n - 2 * p - 1))
-    )
+    codim = space.dim - space.stratum_dim(p)
+    record = space.record
+    a, b = record.gf_binomial(space.n, p)
+    return gauss_binomial(a, b).substitute_power(record.gf_power).shift(codim)
 
 
 def ic_poincare(space: MatrixSpace, p: int) -> LaurentPoly:
@@ -131,16 +96,9 @@ def ic_poincare(space: MatrixSpace, p: int) -> LaurentPoly:
     return inv_derham_gf_closed(space, p).shift(-space.dim)
 
 
-def euler_char_at_origin(space: MatrixSpace, p: int, method: str = "closed") -> int:
-    """Local IC Euler characteristic of stratum closure p at the origin.
+def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:
+    """Local IC Euler characteristic at the origin of a stratum closure in a space of dimension dim.
 
-    Equals (-1)**dim times the generating function evaluated at q = -1;
-    ``method`` picks which of the two routes produces the polynomial.
+    Equals (-1)**dim times the stratum's generating function gf evaluated at q = -1.
     """
-    if method == "enum":
-        gf = inv_derham_gf_enum(space, p)
-    elif method == "closed":
-        gf = inv_derham_gf_closed(space, p)
-    else:
-        raise ValueError(f"method must be 'enum' or 'closed', got {method!r}")
-    return (-1) ** space.dim * gf.evaluate(-1)
+    return (-1) ** dim * gf.evaluate(-1)

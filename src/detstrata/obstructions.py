@@ -6,7 +6,8 @@ E (local Euler obstructions) and the signed microlocal index matrix M with
 entries (-1)**d_i m_{i,j}.  Kashiwara's local index formula says X = E * M,
 so E is recovered from X by an exact triangular solve.  The chi matrix is
 available both in closed form and rebuilt from scratch by partition
-enumeration, which is the end-to-end consistency check of the package.
+enumeration, which is the end-to-end consistency check of the package, and
+``verify`` runs every two-route check of one space.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .derham import euler_char_at_origin
-from .spaces import GENERAL, SYMMETRIC, MatrixSpace
+from .derham import euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
+from .spaces import MatrixSpace
 
 
 @dataclass(frozen=True)
@@ -67,116 +68,66 @@ class StrataMatrix:
         return [list(row) for row in self.rows]
 
 
-def micro_indices(space: MatrixSpace) -> StrataMatrix:
-    """Unsigned microlocal indices m_{i,j} of the IC modules.
+def _signs(space: MatrixSpace) -> list[int]:
+    """(-1)**d_p for every stratum p, from the family's formula without re-checking p."""
+    stratum_dim = space.record.stratum_dim
+    return [(-1) ** stratum_dim(space, p) for p in space.strata]
 
-    Characteristic cycles are irreducible for general and skew-symmetric
-    matrices (identity matrix).  For symmetric matrices the cycle of stratum
-    j picks up the conormal variety of stratum j-1 exactly when n - j is odd.
-    """
-    order = space.num_strata
-    rows = [[1 if i == j else 0 for j in range(order)] for i in range(order)]
-    if space.family == SYMMETRIC:
-        for j in range(1, order):
-            if (space.n - j) % 2 == 1:
-                rows[j - 1][j] = 1
-    return StrataMatrix.from_rows(rows)
+
+def micro_indices(space: MatrixSpace) -> StrataMatrix:
+    """Unsigned microlocal indices m_{i,j} of the IC modules, from the family record."""
+    order, n, above = space.num_strata, space.n, space.record.micro
+    return StrataMatrix.from_rows(
+        tuple(1 if i == j else above(n, j) if j == i + 1 else 0 for j in range(order))
+        for i in range(order)
+    )
 
 
 def signed_micro(space: MatrixSpace) -> StrataMatrix:
     """The matrix M with entries (-1)**d_i m_{i,j} (sign by row index)."""
-    unsigned = micro_indices(space)
-    return StrataMatrix.from_rows(
-        tuple(
-            tuple((-1) ** space.stratum_dim(i) * unsigned.entry(i, j) for j in range(unsigned.order))
-            for i in range(unsigned.order)
-        )
-    )
+    rows = zip(_signs(space), micro_indices(space).rows)
+    return StrataMatrix.from_rows(tuple(sign * x for x in row) for sign, row in rows)
 
 
 def chi_closed(space: MatrixSpace) -> StrataMatrix:
     """Local IC Euler characteristics chi_{i,j} in closed form.
 
-    general:    (-1)**d_j * binom(n-i, j-i)
-    symmetric:  (-1)**d_j * binom(floor((n-i)/2) + eps, floor((j-i)/2)),
-                eps = 1 iff j-i even and n-i odd
-    skew:       (-1)**d_j * binom(floor(n/2)-i, j-i)
+    chi_{i,j} is (-1)**d_j times the family's q-binomial for stratum j - i of
+    the space transverse to stratum i, at q = 1 (see ``spaces.Family``).
     """
-    order = space.num_strata
-    n = space.n
-
-    def value(i: int, j: int) -> int:
-        if i > j:
-            return 0
-        sign = (-1) ** space.stratum_dim(j)
-        if space.family == GENERAL:
-            return sign * comb(n - i, j - i)
-        if space.family == SYMMETRIC:
-            eps = 1 if (j - i) % 2 == 0 and (n - i) % 2 == 1 else 0
-            return sign * comb((n - i) // 2 + eps, (j - i) // 2)
-        return sign * comb(n // 2 - i, j - i)
-
+    order, n, signs = space.num_strata, space.n, _signs(space)
+    step, binomial = space.record.rank_step, space.record.gf_binomial
     return StrataMatrix.from_rows(
-        tuple(tuple(value(i, j) for j in range(order)) for i in range(order))
+        (0,) * i + tuple(signs[j] * comb(*binomial(n - step * i, j - i)) for j in range(i, order))
+        for i in range(order)
     )
 
 
 def euler_closed(space: MatrixSpace) -> StrataMatrix:
-    """Local Euler obstructions e_{i,j} in closed form.
-
-    general:    binom(n-i, j-i)
-    symmetric:  0 when n-i is even and n-j odd, else
-                binom(floor((n-i)/2), floor((j-i)/2))
-    skew:       binom(floor(n/2)-i, j-i)
-    """
-    order = space.num_strata
-    n = space.n
-
-    def value(i: int, j: int) -> int:
-        if i > j:
-            return 0
-        if space.family == GENERAL:
-            return comb(n - i, j - i)
-        if space.family == SYMMETRIC:
-            if (n - i) % 2 == 0 and (n - j) % 2 == 1:
-                return 0
-            return comb((n - i) // 2, (j - i) // 2)
-        return comb(n // 2 - i, j - i)
-
+    """Local Euler obstructions e_{i,j} in closed form, from the family record."""
+    order, n, cell = space.num_strata, space.n, space.record.euler
     return StrataMatrix.from_rows(
-        tuple(tuple(value(i, j) for j in range(order)) for i in range(order))
+        tuple(tuple(cell(n, i, j) if i <= j else 0 for j in range(order)) for i in range(order))
     )
-
-
-def _reduced_space(space: MatrixSpace, i: int) -> MatrixSpace:
-    """The smaller space seen transverse to stratum i (valid for 0 < i < top stratum)."""
-    if space.family == GENERAL:
-        return MatrixSpace.general(space.m - i, space.n - i)
-    if space.family == SYMMETRIC:
-        return MatrixSpace.symmetric(space.n - i)
-    return MatrixSpace.skew(space.n - 2 * i)
 
 
 def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:
     """The chi matrix rebuilt without closed forms.
 
     Row 0 comes from the enumerated generating functions evaluated at q = -1.
-    Row i > 0 reduces to row 0 of the smaller space transverse to stratum i,
-    with the sign (-1)**d_i of the ambient smooth factor:
-    chi_{i,j} = (-1)**d_i * chi'_{0, j-i}.
+    Row i reduces to row 0 of the smaller space transverse to stratum i
+    (the space itself for i = 0), with the sign (-1)**d_i of the ambient
+    smooth factor: chi_{i,j} = (-1)**d_i * chi'_{0, j-i}.
     """
-    order = space.num_strata
+    order, signs = space.num_strata, _signs(space)
     rows = [[0] * order for _ in range(order)]
-    for j in range(order):
-        rows[0][j] = euler_char_at_origin(space, j, "enum")
-    for i in range(1, order):
-        sign = (-1) ** space.stratum_dim(i)
-        # transverse slice of the diagonal cell is a point, chi'_{0,0} = 1
-        rows[i][i] = sign
-        if i < order - 1:
-            smaller = _reduced_space(space, i)
-            for j in range(i + 1, order):
-                rows[i][j] = sign * euler_char_at_origin(smaller, j - i, "enum")
+    # the slice transverse to the top stratum is a point, so chi'_{0,0} = 1
+    rows[-1][-1] = signs[-1]
+    for i in range(order - 1):
+        smaller = space.reduced(i)
+        for j in range(i, order):
+            gf = inv_derham_gf_enum(smaller, j - i)
+            rows[i][j] = signs[i] * euler_char_at_origin(gf, smaller.dim)
     return StrataMatrix.from_rows(rows)
 
 
@@ -205,3 +156,57 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
 def verify_index_identity(space: MatrixSpace) -> bool:
     """Whether chi = euler * signed_micro holds entrywise for the closed forms."""
     return chi_closed(space) == euler_closed(space) * signed_micro(space)
+
+
+# The names of the two values that each check of ``verify`` compares, in order.
+_COMPARED = {"derham": ("enum", "closed"), "index identity": ("chi", "euler*signed"),
+             "euler": ("enumerated", "closed")}
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    """The first disagreement ``verify`` found: the check, where, and the two values.
+
+    ``at`` is the stratum (p,) of a "derham" check, else the matrix cell (i, j).
+    """
+
+    space: MatrixSpace
+    check: str  # "derham", "index identity" or "euler"
+    at: tuple[int, ...]
+    first: object
+    second: object
+
+    def __str__(self) -> str:
+        place = f"p={self.at[0]}" if len(self.at) == 1 else f"cell ({self.at[0]},{self.at[1]})"
+        first, second = _COMPARED[self.check]
+        return f"{self.space} {self.check} {place}: {first}={self.first}, {second}={self.second}"
+
+
+def _first_mismatch(
+    space: MatrixSpace, check: str, lhs: StrataMatrix, rhs: StrataMatrix
+) -> Mismatch | None:
+    """The first cell, row by row, where two matrices of one order differ."""
+    for i in range(lhs.order):
+        for j in range(lhs.order):
+            if lhs.entry(i, j) != rhs.entry(i, j):
+                return Mismatch(space, check, (i, j), lhs.entry(i, j), rhs.entry(i, j))
+    return None
+
+
+def verify(space: MatrixSpace) -> Mismatch | None:
+    """Run the two-route checks of one space; return the first disagreement, or None.
+
+    In order: each stratum's enumerated generating function against its
+    closed form ("derham"), chi = E * M on the closed matrices ("index
+    identity"), and E solved from the enumerated chi against the closed E
+    ("euler").
+    """
+    for p in space.strata:
+        enum, closed = inv_derham_gf_enum(space, p), inv_derham_gf_closed(space, p)
+        if enum != closed:
+            return Mismatch(space, "derham", (p,), enum, closed)
+    signed, expected = signed_micro(space), euler_closed(space)
+    found = _first_mismatch(space, "index identity", chi_closed(space), expected * signed)
+    if found is not None:
+        return found
+    return _first_mismatch(space, "euler", solve_euler(chi_from_enumeration(space), signed), expected)

@@ -42,14 +42,14 @@ def _symmetric_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...]
     return arm + legs + (0,) * (n - r - len(legs))
 
 
-def _symmetric_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
-    """The partitions of symmetric_exterior_partitions(n, i) as length-n tuples, unsorted."""
+def _exterior_weights(weight, n: int, i: int, spare: int) -> list[tuple[int, ...]]:
+    """weight(n, r, alpha) of each degree-i pair, alpha inside r x (n - r - spare), unsorted."""
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
         rest = 2 * i - r * (r + 1)
         # r^2 + r is even, so rest is always even
-        out += [_symmetric_weight(n, r, alpha) for alpha in _box_partitions(r, n - r, rest // 2)]
+        out += [weight(n, r, alpha) for alpha in _box_partitions(r, n - r - spare, rest // 2)]
         r += 1
     return out
 
@@ -65,7 +65,7 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 1, got n={n}")
     if not 0 <= i <= n * (n + 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n+1)/2, got i={i}")
-    return sorted((Partition(w) for w in _symmetric_exterior_weights(n, i)), reverse=True)
+    return sorted((Partition(w) for w in _exterior_weights(_symmetric_weight, n, i, 0)), reverse=True)
 
 
 def _skew_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -81,17 +81,6 @@ def _skew_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | No
     return arm + legs + (0,) * (n - r - 1 - len(legs))
 
 
-def _skew_exterior_weights(n: int, i: int) -> list[tuple[int, ...]]:
-    """The partitions of skew_exterior_partitions(n, i) as length-n tuples, unsorted."""
-    out = []
-    r = 0
-    while r * (r + 1) <= 2 * i:
-        rest = 2 * i - r * (r + 1)
-        out += [_skew_weight(n, r, alpha) for alpha in _box_partitions(r, n - r - 1, rest // 2)]
-        r += 1
-    return out
-
-
 def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
     """Partitions of 2i indexing wedge^i(wedge^2 F), dim F = n >= 2.
 
@@ -104,7 +93,7 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 2, got n={n}")
     if not 0 <= i <= n * (n - 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n-1)/2, got i={i}")
-    return sorted((Partition(w) for w in _skew_exterior_weights(n, i)), reverse=True)
+    return sorted((Partition(w) for w in _exterior_weights(_skew_weight, n, i, 1)), reverse=True)
 
 
 def schur_dimension(p: Partition, N: int) -> int:

@@ -1,20 +1,121 @@
-"""The three families of matrix spaces with their rank stratifications."""
+"""The three families of matrix spaces: one record per family, and the spaces themselves.
+
+Everything that differs between general, symmetric and skew-symmetric
+matrices lives in the ``Family`` records of ``FAMILIES``: dimensions and
+strata, the candidate rule, summand weight and member predicate of the
+enumeration route, the closed q-binomial parameters, and the cells of the
+strata matrices.  The rest of the package reads a space's record and never
+branches on the family.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from typing import Callable
+
+from .characters import (
+    _general_candidates,
+    _member_general,
+    _member_skew,
+    _member_symmetric,
+    _skew_candidates,
+    _symmetric_candidates,
+)
+from .plethysm import _skew_weight, _symmetric_weight
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
 SKEW = "skew"
 
 
+def epsilon_symmetric(n: int, p: int) -> int:
+    """The correction bit for symmetric spaces: 1 iff p is even and n is odd."""
+    if not 0 <= p <= n:
+        raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
+    return 1 if p % 2 == 0 and n % 2 == 1 else 0
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package knows about one family of matrix spaces; its functions check nothing.
+
+    Stratum p holds the matrices of rank ``rank_step * p``, so a space has
+    ``n // rank_step + 1`` strata and the space transverse to stratum i is
+    the same family with every size less ``rank_step * i``.
+
+    Enumeration route: with ``weight`` None the summands are the partitions
+    of ``candidates(n, m, p)``, paired with their conjugates and tested by
+    ``member(w, m, p)``; otherwise ``candidates(n, p)`` gives pairs
+    (r, alpha), ``weight(n, r, alpha)`` their partition (None when the pair
+    indexes no summand) and ``member(w, p)`` tests it.
+
+    Closed route: stratum p's generating function is the q-binomial
+    ``gf_binomial(n, p)`` in ``q**gf_power``, shifted by the codimension
+    dim - d_p.  So chi_{i,j} is (-1)**d_j times the plain binomial of
+    stratum j - i of the space transverse to stratum i, ``euler(n, i, j)``
+    is e_{i,j} for i <= j, and ``micro(n, j)`` is the microlocal index
+    m_{j-1,j}; the other m_{i,j} are those of the identity.
+    """
+
+    token: str  # the name on the command line
+    takes_m: bool  # spaces have a row count m >= n besides n
+    min_n: int
+    rank_step: int
+    dim: Callable[[MatrixSpace], int]
+    stratum_dim: Callable[[MatrixSpace, int], int]  # d_p, of the closure of stratum p
+    candidates: Callable[..., list]
+    weight: Callable[[int, int, tuple[int, ...]], tuple[int, ...] | None] | None
+    member: Callable[..., bool]
+    accepts: Callable[[MatrixSpace, int, tuple[int, ...]], bool]  # member, given the space
+    gf_binomial: Callable[[int, int], tuple[int, int]]
+    gf_power: int
+    euler: Callable[[int, int, int], int]
+    micro: Callable[[int, int], int]
+
+
+FAMILIES: dict[str, Family] = {
+    GENERAL: Family(
+        token="general", takes_m=True, min_n=1, rank_step=1,
+        dim=lambda s: s.m * s.n,
+        stratum_dim=lambda s, p: p * (s.m + s.n - p),
+        candidates=_general_candidates, weight=None, member=_member_general,
+        accepts=lambda s, p, w: _member_general(w, s.m, p),
+        gf_binomial=lambda n, p: (n, p), gf_power=2,
+        euler=lambda n, i, j: comb(n - i, j - i),
+        micro=lambda n, j: 0,
+    ),
+    SYMMETRIC: Family(
+        token="symm", takes_m=False, min_n=1, rank_step=1,
+        dim=lambda s: s.n * (s.n + 1) // 2,
+        stratum_dim=lambda s, p: p * (2 * s.n - p + 1) // 2,
+        candidates=_symmetric_candidates, weight=_symmetric_weight, member=_member_symmetric,
+        accepts=lambda s, p, w: _member_symmetric(w, p),
+        gf_binomial=lambda n, p: (n // 2 + epsilon_symmetric(n, p), p // 2), gf_power=4,
+        euler=lambda n, i, j: (
+            0 if (n - i) % 2 == 0 and (n - j) % 2 == 1 else comb((n - i) // 2, (j - i) // 2)
+        ),
+        # the cycle of stratum j picks up the conormal variety of stratum j-1 iff n-j is odd
+        micro=lambda n, j: (n - j) % 2,
+    ),
+    SKEW: Family(
+        token="skew", takes_m=False, min_n=2, rank_step=2,
+        dim=lambda s: s.n * (s.n - 1) // 2,
+        stratum_dim=lambda s, p: p * (2 * s.n - 2 * p - 1),
+        candidates=_skew_candidates, weight=_skew_weight, member=_member_skew,
+        accepts=lambda s, p, w: _member_skew(w, p),
+        gf_binomial=lambda n, p: (n // 2, p), gf_power=4,
+        euler=lambda n, i, j: comb(n // 2 - i, j - i),
+        micro=lambda n, j: 0,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class MatrixSpace:
     """One of: m x n matrices (m >= n), symmetric n x n, or skew-symmetric n x n.
 
-    Strata are the loci of fixed rank; in the skew case stratum p holds the
-    rank 2p matrices, so there are floor(n/2) + 1 strata instead of n + 1.
+    Strata are the loci of fixed rank, numbered as in ``Family``.
     """
 
     family: str
@@ -22,21 +123,18 @@ class MatrixSpace:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family == GENERAL:
-            if self.m is None or not self.m >= self.n >= 1:
-                raise ValueError(f"general family needs m >= n >= 1, got m={self.m}, n={self.n}")
-        elif self.family == SYMMETRIC:
-            if self.m is not None:
-                raise ValueError("symmetric family takes a single size n")
-            if self.n < 1:
-                raise ValueError(f"symmetric family needs n >= 1, got n={self.n}")
-        elif self.family == SKEW:
-            if self.m is not None:
-                raise ValueError("skew family takes a single size n")
-            if self.n < 2:
-                raise ValueError(f"skew family needs n >= 2, got n={self.n}")
-        else:
+        record = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if record is None:
             raise ValueError(f"unknown family {self.family!r}")
+        if record.takes_m:
+            if self.m is None or not self.m >= self.n >= record.min_n:
+                raise ValueError(
+                    f"{self.family} family needs m >= n >= {record.min_n}, got m={self.m}, n={self.n}"
+                )
+        elif self.m is not None:
+            raise ValueError(f"{self.family} family takes a single size n")
+        elif self.n < record.min_n:
+            raise ValueError(f"{self.family} family needs n >= {record.min_n}, got n={self.n}")
 
     @classmethod
     def general(cls, m: int, n: int) -> MatrixSpace:
@@ -51,19 +149,17 @@ class MatrixSpace:
         return cls(SKEW, n)
 
     @property
+    def record(self) -> Family:
+        return FAMILIES[self.family]
+
+    @property
     def dim(self) -> int:
         """Dimension of the ambient affine space."""
-        if self.family == GENERAL:
-            return self.m * self.n
-        if self.family == SYMMETRIC:
-            return self.n * (self.n + 1) // 2
-        return self.n * (self.n - 1) // 2
+        return self.record.dim(self)
 
     @property
     def num_strata(self) -> int:
-        if self.family == SKEW:
-            return self.n // 2 + 1
-        return self.n + 1
+        return self.n // self.record.rank_step + 1
 
     @property
     def strata(self) -> range:
@@ -76,18 +172,25 @@ class MatrixSpace:
     def stratum_dim(self, p: int) -> int:
         """Dimension d_p of the closure of stratum p."""
         self.check_stratum(p)
-        if self.family == GENERAL:
-            return p * (self.m + self.n - p)
-        if self.family == SYMMETRIC:
-            return p * (2 * self.n - p + 1) // 2
-        return p * (2 * self.n - 2 * p - 1)
+        return self.record.stratum_dim(self, p)
+
+    def reduced(self, i: int) -> MatrixSpace:
+        """The smaller space seen transverse to stratum i (valid for 0 <= i < top stratum)."""
+        k = self.record.rank_step * i
+        return MatrixSpace(self.family, self.n - k, None if self.m is None else self.m - k)
 
     def params(self) -> dict[str, int]:
-        if self.family == GENERAL:
-            return {"m": self.m, "n": self.n}
-        return {"n": self.n}
+        return {"n": self.n} if self.m is None else {"m": self.m, "n": self.n}
 
     def __str__(self) -> str:
-        if self.family == GENERAL:
-            return f"general({self.m},{self.n})"
-        return f"{self.family}({self.n})"
+        sizes = self.n if self.m is None else f"{self.m},{self.n}"
+        return f"{self.family}({sizes})"
+
+
+def spaces_up_to(family: str, bound: int) -> list[MatrixSpace]:
+    """Every space of the family with no size above bound, by n and then by m."""
+    record = FAMILIES[family]
+    sizes = range(record.min_n, bound + 1)
+    if record.takes_m:
+        return [MatrixSpace(family, n, m) for n in sizes for m in range(n, bound + 1)]
+    return [MatrixSpace(family, n) for n in sizes]

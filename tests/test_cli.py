@@ -8,7 +8,7 @@ from helpers import reference_ic_json
 
 import detstrata
 import detstrata.cli
-from detstrata import MatrixSpace, StrataMatrix, euler_closed, ic_poincare, qpoly
+from detstrata import LaurentPoly, MatrixSpace, StrataMatrix, euler_closed, ic_poincare, qpoly
 from detstrata.cli import main
 
 
@@ -52,6 +52,16 @@ class TestTable:
         assert json.loads(unsigned)["rows"] == [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
         assert json.loads(signed)["kind"] == "signed_micro"
         assert json.loads(signed)["rows"] == [[1, 1, 0], [0, 1, 0], [0, 0, -1]]
+
+    @pytest.mark.parametrize("kind", ["euler", "chi", "ic"])
+    def test_signed_outside_micro_is_usage_error(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--family", "symm", "--n", "2", "--kind", kind, "--signed"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: detstrata")
+        assert "--signed" in err.splitlines()[-1]
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "symm", "--n", "2", "--kind", "chi")
@@ -252,12 +262,36 @@ class TestVerify:
             rows[0][-1] += 1
             return StrataMatrix.from_rows(rows)
 
-        monkeypatch.setattr(detstrata.cli, "euler_closed", perturbed)
+        monkeypatch.setattr(detstrata.obstructions, "euler_closed", perturbed)
         code, out, err = run(capsys, "verify", "--family", "symm", "--max", "3")
         assert code == 1
         assert out == ""
         # chi_{0,1} = -1; the perturbed e_{0,1} = 2 times the diagonal sign -1
         assert err == "mismatch: symmetric(1) index identity cell (0,1): chi=-1, euler*signed=-2\n"
+
+    def test_derham_mismatch_names_the_stratum(self, capsys, monkeypatch):
+        def perturbed(space, p, real=detstrata.obstructions.inv_derham_gf_enum):
+            gf = real(space, p)
+            return gf + LaurentPoly.q_power(3) if p == 1 else gf
+
+        monkeypatch.setattr(detstrata.obstructions, "inv_derham_gf_enum", perturbed)
+        code, out, err = run(capsys, "verify", "--family", "symm", "--max", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "mismatch: symmetric(1) derham p=1: enum=1 + q^3, closed=1\n"
+
+    def test_euler_mismatch_names_the_cell(self, capsys, monkeypatch):
+        def perturbed(space, real=detstrata.obstructions.chi_from_enumeration):
+            rows = [list(row) for row in real(space).rows]
+            rows[0][-1] += 2
+            return StrataMatrix.from_rows(rows)
+
+        monkeypatch.setattr(detstrata.obstructions, "chi_from_enumeration", perturbed)
+        code, out, err = run(capsys, "verify", "--family", "skew", "--max", "4")
+        assert code == 1
+        assert out == ""
+        # chi_{0,1} = -1 + 2; e_{0,1} = (chi_{0,1} - e_{0,0} m_{0,1}) / m_{1,1} with m_{1,1} = -1
+        assert err == "mismatch: skew(2) euler cell (0,1): enumerated=-1, closed=1\n"
 
     def test_deterministic(self, capsys):
         first = run(capsys, "verify", "--family", "symm", "--max", "4")

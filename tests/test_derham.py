@@ -125,21 +125,17 @@ class TestIcPoincare:
 class TestEulerCharAtOrigin:
     def test_symmetric_two(self):
         sp = MatrixSpace.symmetric(2)
-        for method in ("enum", "closed"):
-            assert euler_char_at_origin(sp, 0, method) == 1
-            assert euler_char_at_origin(sp, 1, method) == 1
-            assert euler_char_at_origin(sp, 2, method) == -1
+        for gf in (inv_derham_gf_enum, inv_derham_gf_closed):
+            assert euler_char_at_origin(gf(sp, 0), sp.dim) == 1
+            assert euler_char_at_origin(gf(sp, 1), sp.dim) == 1
+            assert euler_char_at_origin(gf(sp, 2), sp.dim) == -1
 
     def test_full_space_stratum(self):
-        assert euler_char_at_origin(MatrixSpace.general(2, 2), 2) == 1
+        sp = MatrixSpace.general(2, 2)
+        assert euler_char_at_origin(inv_derham_gf_closed(sp, 2), sp.dim) == 1
 
     def test_methods_agree(self):
         for sp in SAMPLE_SPACES:
             for p in sp.strata:
-                assert euler_char_at_origin(sp, p, "enum") == euler_char_at_origin(
-                    sp, p, "closed"
-                )
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            euler_char_at_origin(MatrixSpace.symmetric(2), 0, "fast")
+                enum, closed = inv_derham_gf_enum(sp, p), inv_derham_gf_closed(sp, p)
+                assert euler_char_at_origin(enum, sp.dim) == euler_char_at_origin(closed, sp.dim)

@@ -1,5 +1,6 @@
 """The one-pass enumeration route against the per-stratum oracle, and its per-space cache."""
 
+import dataclasses
 import json
 import os
 import random
@@ -23,6 +24,7 @@ from detstrata import (
     qpoly,
     signed_micro,
     solve_euler,
+    spaces,
 )
 
 ORACLE_RANGE = (
@@ -182,8 +184,10 @@ class TestLeafCheckIsLive:
         for space in self.SPACES:
             assert not all(inv_derham_gf_enum(space, p).is_zero for p in space.strata)
         fresh_enum_cache.cache_clear()
-        for name in ("_member_general", "_member_symmetric", "_member_skew"):
-            monkeypatch.setattr(derham, name, lambda *args: False)
+        for family, record in list(spaces.FAMILIES.items()):
+            monkeypatch.setitem(
+                spaces.FAMILIES, family, dataclasses.replace(record, member=lambda *args: False)
+            )
         for space in self.SPACES:
             for p in space.strata:
                 assert inv_derham_gf_enum(space, p).is_zero, (str(space), p)

@@ -2,13 +2,16 @@ import pytest
 
 from detstrata import (
     MatrixSpace,
+    Mismatch,
     StrataMatrix,
     chi_closed,
     chi_from_enumeration,
     euler_closed,
     micro_indices,
     signed_micro,
+    obstructions,
     solve_euler,
+    verify,
     verify_index_identity,
 )
 
@@ -196,3 +199,21 @@ class TestSolveEuler:
             signed = signed_micro(sp)
             euler = euler_closed(sp)
             assert solve_euler(euler * signed, signed) == euler
+
+
+class TestVerify:
+    def test_every_check_agrees_across_ranges(self):
+        for space in RANGE_SPACES:
+            assert verify(space) is None, str(space)
+
+    def test_mismatch_names_the_check_the_cell_and_both_values(self, monkeypatch):
+        def perturbed(space, real=obstructions.euler_closed):
+            rows = [list(row) for row in real(space).rows]
+            rows[0][-1] += 1
+            return StrataMatrix.from_rows(rows)
+
+        monkeypatch.setattr(obstructions, "euler_closed", perturbed)
+        space = MatrixSpace.symmetric(1)
+        found = verify(space)
+        assert found == Mismatch(space, "index identity", (0, 1), -1, -2)
+        assert str(found) == "symmetric(1) index identity cell (0,1): chi=-1, euler*signed=-2"

@@ -1,5 +1,9 @@
+import os
+import re
+
 import pytest
 
+import detstrata
 from detstrata import MatrixSpace
 
 
@@ -46,3 +50,37 @@ class TestDerivedQuantities:
             assert dims[0] == 0
             assert dims[-1] == sp.dim
             assert dims == sorted(dims)
+
+
+SPACES_UP_TO_12 = (
+    [MatrixSpace.general(m, n) for n in range(1, 13) for m in range(n, 13)]
+    + [MatrixSpace.symmetric(n) for n in range(1, 13)]
+    + [MatrixSpace.skew(n) for n in range(2, 13)]
+)
+
+
+def test_reduced_spaces_are_the_transverse_slices():
+    """The smaller spaces that chi_from_enumeration reads its rows from."""
+    for space in SPACES_UP_TO_12:
+        top = space.num_strata - 1
+        assert space.stratum_dim(top) == space.dim, str(space)
+        assert space.reduced(0) == space, str(space)
+        for i in range(1, top):
+            reduced = space.reduced(i)
+            assert reduced.family == space.family, (str(space), i)
+            assert space.dim - space.stratum_dim(i) == reduced.dim, (str(space), i)
+            assert reduced.num_strata == space.num_strata - i, (str(space), i)
+
+
+def test_family_knowledge_lives_only_in_the_records():
+    """No module but spaces.py compares a family name: the records carry the per-family data."""
+    package = os.path.dirname(detstrata.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "spaces.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if re.search(r"family\s*[!=]=", line):
+                    offenders.append(f"{name}:{lineno}: {line.strip()}")
+    assert offenders == []
