@@ -3,37 +3,29 @@
 Each stratum closure V_p carries a simple equivariant D-module whose
 decomposition into irreducibles is multiplicity free and cut out by explicit
 inequalities and parity conditions on dominant weights.  The predicates below
-implement those conditions, with the uniform boundary convention that an
-entry indexed below 1 reads +infinity and one indexed past the length reads
--infinity, which makes the extreme strata (the whole space and the origin)
-come out right.
+implement those conditions.  An inequality on an entry indexed below 1 holds
+(the entry reads +infinity) and one on an entry indexed past the length
+holds when it bounds the entry from above (the entry reads -infinity); each
+predicate writes these boundaries as integer tests on the index, which makes
+the extreme strata (the whole space and the origin) come out right.
 
-Each family also has a candidate rule (``_*_candidates``): the summands that
-can satisfy stratum p's conditions, derived from those conditions alone,
-with the argument that no member is missed and no summand is produced twice
-written in the rule's docstring.  The enumeration route still applies the
-full predicate to every candidate, so a rule that produced too much would
-cost time, never a count.
+Candidate rules list the summands that can satisfy stratum p's conditions,
+derived from those conditions alone, with the argument that no member is
+missed and no summand is produced twice written in the rule's docstring:
+``_general_candidates`` for general matrices, and ``_durfee_candidates`` for
+symmetric and skew-symmetric ones, whose summands share one Frobenius form.
+The enumeration route still applies the full predicate to every candidate,
+so a rule that produced too much would cost time, never a count.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions
 
 if TYPE_CHECKING:
     from .spaces import MatrixSpace
-
-
-def _entry(w: tuple[int, ...], i: int) -> float:
-    """1-indexed entry with +inf below index 1 and -inf past the end."""
-    if i < 1:
-        return math.inf
-    if i > len(w):
-        return -math.inf
-    return w[i - 1]
 
 
 def _extend(w: tuple[int, ...], s: int, m: int) -> tuple[int, ...]:
@@ -107,53 +99,22 @@ def member_general(w: IntegerWeight, m: int, p: int) -> bool:
 
 
 def _member_symmetric(w: tuple[int, ...], p: int) -> bool:
-    """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked)."""
+    """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked).
+
+    Entry n - p is +inf when p = n; entries n - p + 1 and n - p + 2 are
+    -inf past the end.
+    """
     n = len(w)
     k = n - p
     if k % 2 == 1:
         if any(a % 2 != 0 for a in w):
             return False
-        return _entry(w, k) >= k + 1 and _entry(w, k + 2) <= k + 1
+        return w[k - 1] >= k + 1 and (k + 2 > n or w[k + 1] <= k + 1)
     if any(w[i] % 2 != 1 for i in range(k)):
         return False
     if any(w[i] % 2 != 0 for i in range(k, n)):
         return False
-    return _entry(w, k) >= k + 1 and _entry(w, k + 1) <= k
-
-
-def _with_full_first_column(alphas: list[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
-    """Each partition with a column of length r put in front: parts + 1, then ones up to r rows."""
-    return [tuple(a + 1 for a in alpha) + (1,) * (r - len(alpha)) for alpha in alphas]
-
-
-def _symmetric_candidates(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Candidate summands (r, alpha) of wedge(Sym^2 F) for stratum p of symmetric matrices.
-
-    The summand (r, alpha), with alpha inside r x (n - r), has rows
-    r + 1 + alpha_j for j <= r and then the columns alpha'_t <= r, so r is
-    its Durfee size.  Soundness, with k = n - p:
-
-    * Durfee size.  For k even the predicate asks w_k >= k + 1 and
-      w_{k+1} <= k, so r = k.  For k odd it asks w_k >= k + 1 and
-      w_{k+2} <= k + 1, so r is k or k + 1.
-    * r = k.  The first r rows must be odd when k is even and even when k is
-      odd: either way r + 1 + alpha_j has the required parity exactly when
-      alpha_j is even.  The rows below, the columns of alpha, must be even.
-      So alpha has even rows and even columns inside k x p.
-    * r = k + 1, k odd.  Every entry must be even, so alpha_j = w_j - (k + 2)
-      is odd for each j <= r: alpha has r nonempty rows, i.e. a full first
-      column, and its columns are even.  Without that column it has even rows
-      and even columns inside r x (n - r - 1), which needs r < n.
-
-    Both cases list each such alpha once (_doubled_partitions), and the two
-    cases differ in r, so no summand is produced twice.
-    """
-    k = n - p
-    out = [(k, alpha) for alpha in _doubled_partitions(k, p)]
-    if k % 2 == 1 and k + 1 < n:
-        r = k + 1
-        out += [(r, alpha) for alpha in _with_full_first_column(_doubled_partitions(r, p - 2), r)]
-    return out
+    return (k == 0 or w[k - 1] >= k + 1) and (p == 0 or w[k] <= k)
 
 
 def member_symmetric(w: IntegerWeight, p: int) -> bool:
@@ -170,15 +131,19 @@ def member_symmetric(w: IntegerWeight, p: int) -> bool:
 
 
 def _member_skew(w: tuple[int, ...], p: int) -> bool:
-    """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked)."""
+    """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked).
+
+    For n even, entry n - 2p is +inf when 2p = n and entry n - 2p + 1 is
+    -inf when p = 0; for n odd both pinned indices lie inside the weight.
+    """
     n = len(w)
     half = n // 2
     k = n - 2 * p
     if n % 2 == 0:
         if any(w[2 * i] != w[2 * i + 1] for i in range(half)):
             return False
-        return _entry(w, k) >= k - 1 and _entry(w, k + 1) <= k
-    if _entry(w, k) != k - 1:
+        return (k == 0 or w[k - 1] >= k - 1) and (p == 0 or w[k] <= k)
+    if w[k - 1] != k - 1:
         return False
     for i in range(1, half - p + 1):
         if w[2 * i - 2] != w[2 * i - 1]:
@@ -187,47 +152,6 @@ def _member_skew(w: tuple[int, ...], p: int) -> bool:
         if w[2 * i - 1] != w[2 * i]:
             return False
     return True
-
-
-def _skew_candidates(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Candidate summands (r, alpha) of wedge(wedge^2 F) for stratum p of skew n x n matrices.
-
-    The summand (r, alpha), with alpha inside r x (n - r - 1), has rows
-    r + alpha_j for j <= r, then one row r, then the columns alpha'_t <= r.
-    Soundness, with k = n - 2p:
-
-    * n odd.  The predicate pins w_k = k - 1.  If r >= k then w_k >= r >= k,
-      and if r <= k - 2 then w_k <= r, so r = k - 1 and w_k is the row r.
-      The pairs w_{2i-1} = w_{2i} above index k pair the rows of alpha, so
-      its columns are even; the pairs w_{2i} = w_{2i+1} below index k pair
-      its columns, so its rows are even.  So alpha has even rows and even
-      columns inside (k - 1) x (n - k).
-    * n even.  The predicate asks w_k >= k - 1, w_{k+1} <= k and the pairs
-      w_{2i-1} = w_{2i} throughout.  If r >= k + 1 then w_{k+1} >= r > k,
-      and if r <= k - 2 then w_k <= r < k - 1, so r is k - 1 or k.
-      - r = k - 1 (odd).  The pair (w_r, w_{r+1}) = (r + alpha_r, r) empties
-        row r of alpha; the pairs above make its columns even, the pairs
-        below, which start at w_{r+2} = alpha'_1, make its rows even.  So
-        alpha has even rows and even columns inside (k - 1) x (n - k), as
-        for n odd.
-      - r = k (even).  The pair (w_{r+1}, w_{r+2}) = (r, alpha'_1) makes the
-        first column of alpha full, of length r; the pairs above make its
-        columns even, and the pairs below, alpha'_{2j} = alpha'_{2j+1}, make
-        the rows even once that column is removed.  So alpha is a full first
-        column plus even rows and even columns inside k x (n - k - 2), which
-        needs k < n.
-
-    Each case lists each such alpha once (_doubled_partitions), and the two
-    cases differ in r, so no summand is produced twice.
-    """
-    k = n - 2 * p
-    out = []
-    if k >= 1:
-        out += [(k - 1, alpha) for alpha in _doubled_partitions(k - 1, n - k)]
-    if k % 2 == 0 and k < n:
-        doubled = _doubled_partitions(k, n - k - 2)
-        out += [(k, alpha) for alpha in _with_full_first_column(doubled, k)]
-    return out
 
 
 def member_skew(w: IntegerWeight, p: int) -> bool:
@@ -243,6 +167,70 @@ def member_skew(w: IntegerWeight, p: int) -> bool:
     if not 0 <= p <= n // 2:
         raise ValueError(f"require 0 <= p <= floor(n/2), got p={p}, n={n}")
     return _member_skew(w.entries, p)
+
+
+def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Candidate summands (r, alpha) for the stratum of rank ``rank`` of symmetric or skew matrices.
+
+    The summands of wedge(Sym^2 F) (shift 1) and wedge(wedge^2 F) (shift 0)
+    are the partitions (b_1 + 2 shift - 1, .., b_r + 2 shift - 1 | b_1, .., b_r)
+    in Frobenius notation.  The summand (r, alpha), with alpha inside
+    r x (n - r - 1 + shift), has rows r + shift + alpha_j for j <= r, then
+    1 - shift rows r, then the columns alpha'_t <= r, so r is its Durfee size
+    (``plethysm._frobenius_weight``).  The predicate pins r near
+    r0 = n - rank - 1 + shift.  Soundness:
+
+    * Symmetric, shift 1, rank p, r0 = n - p.  For r0 even the predicate
+      asks w_{r0} >= r0 + 1 and w_{r0+1} <= r0, so r = r0.  For r0 odd it
+      asks w_{r0} >= r0 + 1 and w_{r0+2} <= r0 + 1, so r is r0 or r0 + 1.
+      - r = r0.  The first r rows must be odd when r0 is even and even when
+        r0 is odd: either way r + 1 + alpha_j has the required parity exactly
+        when alpha_j is even.  The rows below, the columns of alpha, must be
+        even.  So alpha has even rows and even columns inside r0 x rank.
+      - r = r0 + 1, r0 odd.  Every entry must be even, so alpha_j = w_j - r - 1
+        is odd for each j <= r: alpha has r nonempty rows, i.e. a full first
+        column, and its columns are even.  Without that column it has even
+        rows and even columns inside r x (n - r - 1) = r x (rank - 2), which
+        needs r < n.
+    * Skew, shift 0, rank 2p, r0 = n - 2p - 1.
+      - n odd, so r0 is even.  The predicate pins w_{r0+1} = r0.  If
+        r >= r0 + 1 then w_{r0+1} >= r > r0, and if r <= r0 - 1 then
+        w_{r0+1} <= w_{r+1} = r < r0, so r = r0 and w_{r0+1} is the row r.
+        The pairs w_{2i-1} = w_{2i} above it pair the rows of alpha, so its
+        columns are even; the pairs w_{2i} = w_{2i+1} below it pair its
+        columns, so its rows are even.  So alpha has even rows and even
+        columns inside r0 x rank.
+      - n even, so r0 is odd.  The predicate asks w_{r0+1} >= r0,
+        w_{r0+2} <= r0 + 1 and the pairs w_{2i-1} = w_{2i} throughout.  If
+        r >= r0 + 2 then w_{r0+2} >= r > r0 + 1, and if r <= r0 - 1 then
+        w_{r0+1} <= r < r0, so r is r0 or r0 + 1.  For r = r0 the pair
+        (w_r, w_{r+1}) = (r + alpha_r, r) empties row r of alpha; the pairs
+        above make its columns even, the pairs below, which start at
+        w_{r+2} = alpha'_1, make its rows even.  So alpha has even rows and
+        even columns inside r0 x rank.  For r = r0 + 1 the pair
+        (w_{r+1}, w_{r+2}) = (r, alpha'_1) makes the first column of alpha
+        full, of length r; the pairs above make its columns even, and the
+        pairs below, alpha'_{2j} = alpha'_{2j+1}, make the rows even once that
+        column is removed.  So alpha is a full first column plus even rows
+        and even columns inside r x (n - r - 2) = r x (rank - 2), which needs
+        r < n.
+
+    In both families, then, every member is either (r0, alpha) with alpha
+    of even rows and even columns inside r0 x rank (when r0 >= 0), or, when
+    r0 is odd and r0 + 1 < n, (r0 + 1, alpha) with alpha a full first column
+    plus even rows and even columns inside (r0 + 1) x (rank - 2).  Each case
+    lists each such alpha once (_doubled_partitions), and the two cases
+    differ in r, so no summand is produced twice.
+    """
+    r = n - rank - 1 + shift
+    out = [(r, alpha) for alpha in _doubled_partitions(r, rank)] if r >= 0 else []
+    if r % 2 == 1 and r + 1 < n:
+        r += 1
+        out += [
+            (r, tuple(a + 1 for a in alpha) + (1,) * (r - len(alpha)))
+            for alpha in _doubled_partitions(r, rank - 2)
+        ]
+    return out
 
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:

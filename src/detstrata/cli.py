@@ -95,12 +95,14 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_derham(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.check and args.method not in (None, "both"):
+        parser.error(f"--check computes both routes, so it cannot take --method {args.method}")
     space = _build_space(parser, args)
     try:
         space.check_stratum(args.p)
     except ValueError as exc:
         parser.error(str(exc))
-    method = "both" if args.check else args.method
+    method = "both" if args.check else args.method or "closed"
     if method == "enum":
         print(f"enum: {inv_derham_gf_enum(space, args.p)}")
         return 0
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derham = sub.add_parser("derham", help="print invariant de Rham generating function(s)")
     add_family(p_derham)
     p_derham.add_argument("--p", type=int, required=True)
-    p_derham.add_argument("--method", choices=["enum", "closed", "both"], default="closed")
+    p_derham.add_argument("--method", choices=["enum", "closed", "both"], help="default: closed")
     p_derham.add_argument("--check", action="store_true", help="compute both routes, exit 1 on mismatch")
 
     p_pleth = sub.add_parser("plethysm", help="list exterior power summand partitions as JSON")

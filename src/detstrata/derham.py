@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .characters import _extend
+from .characters import _durfee_candidates, _extend, _general_candidates
 from .partitions import _conjugate, _in_box
+from .plethysm import _frobenius_weight
 from .qpoly import LaurentPoly, gauss_binomial
 from .spaces import MatrixSpace
 
@@ -30,23 +31,24 @@ _ENUM_CACHE_SPACES = 64
 def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
     """Every stratum's enumerated generating function, from its candidate summands.
 
-    Stratum p's candidates come from the rule in the space's family record,
-    one of the ``_*_candidates`` rules of ``characters``, whose docstrings
-    prove that they miss no member and produce no summand twice.  Every
-    candidate is checked in full here: it must be a partition inside the
-    summand box and pass the stratum's predicate, and a paired partition's
-    conjugate must match the spliced weight extension.  A rule that produced
-    too much would therefore cost time, never a count.  Nothing relies on the
-    character sets being disjoint: each stratum counts its own candidates.
+    Stratum p's candidates come from a rule of ``characters``:
+    ``_general_candidates``, or ``_durfee_candidates`` with the Frobenius
+    shift of the space's family record.  Their docstrings prove that they
+    miss no member and produce no summand twice.  Every candidate is checked
+    in full here: it must be a partition inside the summand box and pass the
+    stratum's predicate, and a paired partition's conjugate must match the
+    spliced weight extension.  A rule that produced too much would therefore
+    cost time, never a count.  Nothing relies on the character sets being
+    disjoint: each stratum counts its own candidates.
     """
     n = space.n
     counts = [[0] * (space.dim + 1) for _ in space.strata]
     record = space.record
-    candidates, weight, member = record.candidates, record.weight, record.member
-    if weight is None:
+    shift, member = record.shift, record.member
+    if shift is None:
         m = space.m
         for p in space.strata:
-            for mu in candidates(n, m, p):
+            for mu in _general_candidates(n, m, p):
                 if not _in_box(mu, n, m):
                     continue
                 w = mu + (0,) * (n - len(mu))
@@ -55,9 +57,10 @@ def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
                     if conj + (0,) * (m - len(conj)) == _extend(w, n - p, m):
                         counts[p][sum(mu)] += 1
     else:
+        step = record.rank_step
         for p in space.strata:
-            for r, alpha in candidates(n, p):
-                w = weight(n, r, alpha)
+            for r, alpha in _durfee_candidates(n, step * p, shift):
+                w = _frobenius_weight(shift, n, r, alpha)
                 # w is None when (r, alpha) indexes no summand; |w| = 2 * degree
                 if w is not None and member(w, p):
                     counts[p][sum(w) // 2] += 1

@@ -105,10 +105,6 @@ class IntegerWeight:
         """The dual weight: negate and reverse.  An involution preserving dominance."""
         return IntegerWeight(tuple(-a for a in reversed(self.entries)))
 
-    @property
-    def is_partition(self) -> bool:
-        return not self.entries or self.entries[-1] >= 0
-
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate of weakly decreasing positive parts, unvalidated: row i counts parts >= i.

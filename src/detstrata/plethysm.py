@@ -3,9 +3,10 @@
 The three enumerations below list the partitions indexing the irreducible
 summands of the i-th exterior power of the three spaces an n x n (or m x n)
 matrix space is built from.  The tensor-product case is Cauchy's formula; the
-other two are the classical plethysms, parametrized by the Durfee size r of
-the output partition together with an auxiliary partition alpha packed around
-the Durfee square.
+other two are the classical plethysms, one Frobenius form with a shift of 1
+(Sym^2) or 0 (wedge^2), parametrized by the Durfee size r of the output
+partition together with an auxiliary partition alpha packed around the
+Durfee square.
 """
 
 from __future__ import annotations
@@ -28,28 +29,33 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     return enumerate_in_rectangle(n, m, i)
 
 
-def _symmetric_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The length-n partition of the wedge(Sym^2 F) summand indexed by (r, alpha), raw.
+def _frobenius_weight(shift: int, n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The length-n partition of the summand indexed by (r, alpha), raw.
 
-    Rows r + 1 + alpha_j for j <= r, then the conjugate of alpha, then zeros.
-    None unless alpha is a partition inside the r x (n - r) box, so a pair
-    that indexes no summand never yields a weight.
+    Shift 1 is wedge(Sym^2 F), shift 0 is wedge(wedge^2 F).  Rows
+    r + shift + alpha_j for j <= r + 1 - shift, with alpha_{r+1} = 0 (so for
+    shift 0 row r + 1 is r), then the conjugate of alpha, then zeros: in
+    Frobenius notation (b_1 + 2 shift - 1, .., b_r + 2 shift - 1 | b_1, .., b_r)
+    with b_j = r + alpha_j - j + 1 - shift.  None unless alpha is a partition
+    inside the r x (n - r - 1 + shift) box, so a pair that indexes no
+    summand never yields a weight.
     """
-    if not _in_box(alpha, r, n - r):
+    if not _in_box(alpha, r, n - r - 1 + shift):
         return None
-    arm = tuple(r + 1 + a for a in alpha) + (r + 1,) * (r - len(alpha))
+    arm = tuple(r + shift + a for a in alpha) + (r + shift,) * (r + 1 - shift - len(alpha))
     legs = _conjugate(alpha)
-    return arm + legs + (0,) * (n - r - len(legs))
+    return arm + legs + (0,) * (n - len(arm) - len(legs))
 
 
-def _exterior_weights(weight, n: int, i: int, spare: int) -> list[tuple[int, ...]]:
-    """weight(n, r, alpha) of each degree-i pair, alpha inside r x (n - r - spare), unsorted."""
+def _exterior_weights(shift: int, n: int, i: int) -> list[tuple[int, ...]]:
+    """_frobenius_weight(shift, n, r, alpha) of each degree-i pair, unsorted."""
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
         rest = 2 * i - r * (r + 1)
         # r^2 + r is even, so rest is always even
-        out += [weight(n, r, alpha) for alpha in _box_partitions(r, n - r - spare, rest // 2)]
+        alphas = _box_partitions(r, n - r - 1 + shift, rest // 2)
+        out += [_frobenius_weight(shift, n, r, alpha) for alpha in alphas]
         r += 1
     return out
 
@@ -65,20 +71,7 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 1, got n={n}")
     if not 0 <= i <= n * (n + 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n+1)/2, got i={i}")
-    return sorted((Partition(w) for w in _exterior_weights(_symmetric_weight, n, i, 0)), reverse=True)
-
-
-def _skew_weight(n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The length-n partition of the wedge(wedge^2 F) summand indexed by (r, alpha), raw.
-
-    Rows r + alpha_j for j <= r, one row r, then the conjugate of alpha, then
-    zeros.  None unless alpha is a partition inside the r x (n - r - 1) box.
-    """
-    if not _in_box(alpha, r, n - r - 1):
-        return None
-    arm = tuple(r + a for a in alpha) + (r,) * (r + 1 - len(alpha))
-    legs = _conjugate(alpha)
-    return arm + legs + (0,) * (n - r - 1 - len(legs))
+    return sorted((Partition(w) for w in _exterior_weights(1, n, i)), reverse=True)
 
 
 def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
@@ -93,7 +86,7 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
         raise ValueError(f"require n >= 2, got n={n}")
     if not 0 <= i <= n * (n - 1) // 2:
         raise ValueError(f"require 0 <= i <= n(n-1)/2, got i={i}")
-    return sorted((Partition(w) for w in _exterior_weights(_skew_weight, n, i, 1)), reverse=True)
+    return sorted((Partition(w) for w in _exterior_weights(0, n, i)), reverse=True)
 
 
 def schur_dimension(p: Partition, N: int) -> int:

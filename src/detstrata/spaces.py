@@ -2,10 +2,9 @@
 
 Everything that differs between general, symmetric and skew-symmetric
 matrices lives in the ``Family`` records of ``FAMILIES``: dimensions and
-strata, the candidate rule, summand weight and member predicate of the
-enumeration route, the closed q-binomial parameters, and the cells of the
-strata matrices.  The rest of the package reads a space's record and never
-branches on the family.
+strata, the Frobenius shift and member predicate of the enumeration route,
+the closed q-binomial parameters, and the cells of the strata matrices.  The
+rest of the package reads a space's record and never branches on the family.
 """
 
 from __future__ import annotations
@@ -14,15 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .characters import (
-    _general_candidates,
-    _member_general,
-    _member_skew,
-    _member_symmetric,
-    _skew_candidates,
-    _symmetric_candidates,
-)
-from .plethysm import _skew_weight, _symmetric_weight
+from .characters import _member_general, _member_skew, _member_symmetric
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -44,11 +35,13 @@ class Family:
     ``n // rank_step + 1`` strata and the space transverse to stratum i is
     the same family with every size less ``rank_step * i``.
 
-    Enumeration route: with ``weight`` None the summands are the partitions
-    of ``candidates(n, m, p)``, paired with their conjugates and tested by
-    ``member(w, m, p)``; otherwise ``candidates(n, p)`` gives pairs
-    (r, alpha), ``weight(n, r, alpha)`` their partition (None when the pair
-    indexes no summand) and ``member(w, p)`` tests it.
+    Enumeration route: with ``shift`` None the summands are the partitions
+    of ``_general_candidates(n, m, p)``, paired with their conjugates and
+    tested by ``member(w, m, p)``.  Otherwise ``shift`` is the Frobenius
+    shift of the summands, 1 for wedge(Sym^2 F) and 0 for wedge(wedge^2 F):
+    ``_durfee_candidates(n, rank_step * p, shift)`` gives pairs (r, alpha),
+    ``_frobenius_weight(shift, n, r, alpha)`` their partition (None when the
+    pair indexes no summand) and ``member(w, p)`` tests it.
 
     Closed route: stratum p's generating function is the q-binomial
     ``gf_binomial(n, p)`` in ``q**gf_power``, shifted by the codimension
@@ -62,10 +55,8 @@ class Family:
     takes_m: bool  # spaces have a row count m >= n besides n
     min_n: int
     rank_step: int
-    dim: Callable[[MatrixSpace], int]
     stratum_dim: Callable[[MatrixSpace, int], int]  # d_p, of the closure of stratum p
-    candidates: Callable[..., list]
-    weight: Callable[[int, int, tuple[int, ...]], tuple[int, ...] | None] | None
+    shift: int | None  # Frobenius shift of the exterior-power summands, None for general
     member: Callable[..., bool]
     accepts: Callable[[MatrixSpace, int, tuple[int, ...]], bool]  # member, given the space
     gf_binomial: Callable[[int, int], tuple[int, int]]
@@ -77,9 +68,8 @@ class Family:
 FAMILIES: dict[str, Family] = {
     GENERAL: Family(
         token="general", takes_m=True, min_n=1, rank_step=1,
-        dim=lambda s: s.m * s.n,
         stratum_dim=lambda s, p: p * (s.m + s.n - p),
-        candidates=_general_candidates, weight=None, member=_member_general,
+        shift=None, member=_member_general,
         accepts=lambda s, p, w: _member_general(w, s.m, p),
         gf_binomial=lambda n, p: (n, p), gf_power=2,
         euler=lambda n, i, j: comb(n - i, j - i),
@@ -87,9 +77,8 @@ FAMILIES: dict[str, Family] = {
     ),
     SYMMETRIC: Family(
         token="symm", takes_m=False, min_n=1, rank_step=1,
-        dim=lambda s: s.n * (s.n + 1) // 2,
         stratum_dim=lambda s, p: p * (2 * s.n - p + 1) // 2,
-        candidates=_symmetric_candidates, weight=_symmetric_weight, member=_member_symmetric,
+        shift=1, member=_member_symmetric,
         accepts=lambda s, p, w: _member_symmetric(w, p),
         gf_binomial=lambda n, p: (n // 2 + epsilon_symmetric(n, p), p // 2), gf_power=4,
         euler=lambda n, i, j: (
@@ -100,9 +89,8 @@ FAMILIES: dict[str, Family] = {
     ),
     SKEW: Family(
         token="skew", takes_m=False, min_n=2, rank_step=2,
-        dim=lambda s: s.n * (s.n - 1) // 2,
         stratum_dim=lambda s, p: p * (2 * s.n - 2 * p - 1),
-        candidates=_skew_candidates, weight=_skew_weight, member=_member_skew,
+        shift=0, member=_member_skew,
         accepts=lambda s, p, w: _member_skew(w, p),
         gf_binomial=lambda n, p: (n // 2, p), gf_power=4,
         euler=lambda n, i, j: comb(n // 2 - i, j - i),
@@ -154,8 +142,8 @@ class MatrixSpace:
 
     @property
     def dim(self) -> int:
-        """Dimension of the ambient affine space."""
-        return self.record.dim(self)
+        """Dimension of the ambient affine space, the closure of the top stratum."""
+        return self.record.stratum_dim(self, self.num_strata - 1)
 
     @property
     def num_strata(self) -> int:

@@ -13,8 +13,8 @@ from detstrata import (
     skew_exterior_partitions,
     symmetric_exterior_partitions,
 )
-from detstrata.characters import _general_candidates, _skew_candidates, _symmetric_candidates
-from detstrata.plethysm import _skew_weight, _symmetric_weight
+from detstrata.characters import _durfee_candidates, _general_candidates
+from detstrata.plethysm import _frobenius_weight
 
 from helpers import (
     decompose_into_schur,
@@ -93,6 +93,26 @@ class TestMemberSymmetric:
         with pytest.raises(ValueError):
             member_symmetric(W(0, 0), 3)
 
+    def test_matches_the_inequalities_with_infinite_boundaries(self):
+        # entry 0 reads +inf and entries n + 1, n + 2 read -inf
+        for n in range(1, 6):
+            for entries in dominant_box(n):
+                e = [float("inf"), *entries, float("-inf"), float("-inf")]
+                for p in range(n + 1):
+                    k = n - p
+                    if k % 2 == 1:
+                        expected = (
+                            all(a % 2 == 0 for a in entries)
+                            and e[k] >= k + 1 and e[k + 2] <= k + 1
+                        )
+                    else:
+                        expected = (
+                            all(a % 2 == 1 for a in entries[:k])
+                            and all(a % 2 == 0 for a in entries[k:])
+                            and e[k] >= k + 1 and e[k + 1] <= k
+                        )
+                    assert member_symmetric(IntegerWeight(entries), p) == expected, (entries, p)
+
     def test_full_space_stratum_matches_classical_decomposition(self):
         # Sym(Sym^2 C^n) = sum of S_mu over even mu; the stratum-n predicate
         # must accept exactly the duals of those mu.
@@ -127,6 +147,27 @@ class TestMemberSkew:
     def test_rejects_bad_stratum(self):
         with pytest.raises(ValueError):
             member_skew(W(0, 0, 0, 0), 3)
+
+    def test_matches_the_inequalities_with_infinite_boundaries(self):
+        # entry 0 reads +inf and entry n + 1 reads -inf
+        for n in range(2, 7):
+            for entries in dominant_box(n):
+                e = [float("inf"), *entries, float("-inf")]
+                for p in range(n // 2 + 1):
+                    k = n - 2 * p
+                    if n % 2 == 0:
+                        expected = (
+                            all(e[i] == e[i + 1] for i in range(1, n, 2))
+                            and e[k] >= k - 1 and e[k + 1] <= k
+                        )
+                    else:
+                        # pairs w_1 = w_2, ... above the pivot k, w_{k+1} = w_{k+2}, ... below
+                        expected = (
+                            e[k] == k - 1
+                            and all(e[i] == e[i + 1] for i in range(1, k, 2))
+                            and all(e[i] == e[i + 1] for i in range(k + 1, n, 2))
+                        )
+                    assert member_skew(IntegerWeight(entries), p) == expected, (entries, p)
 
     def test_full_space_stratum_matches_classical_decomposition(self):
         # Sym(wedge^2 C^n) = sum of S_mu over mu with even columns
@@ -187,22 +228,24 @@ class TestCandidateRules:
                     assert members <= set(got), (m, n, p)
 
     @pytest.mark.parametrize(
-        "space_of, sizes, summands, member, candidates, weight",
+        "space_of, sizes, summands, member, shift, rank_step",
         [
             (MatrixSpace.symmetric, range(1, 11), symmetric_exterior_partitions, member_symmetric,
-             _symmetric_candidates, _symmetric_weight),
-            (MatrixSpace.skew, range(2, 13), skew_exterior_partitions, member_skew,
-             _skew_candidates, _skew_weight),
+             1, 1),
+            (MatrixSpace.skew, range(2, 13), skew_exterior_partitions, member_skew, 0, 2),
         ],
         ids=["symmetric", "skew"],
     )
-    def test_symmetric_and_skew(self, space_of, sizes, summands, member, candidates, weight):
+    def test_symmetric_and_skew(self, space_of, sizes, summands, member, shift, rank_step):
         for n in sizes:
             space = space_of(n)
             weights = [lam.to_weight(n) for i in range(space.dim + 1) for lam in summands(n, i)]
             for p in space.strata:
                 members = {w.entries for w in weights if member(w, p)}
-                got = [weight(n, r, alpha) for r, alpha in candidates(n, p)]
+                got = [
+                    _frobenius_weight(shift, n, r, alpha)
+                    for r, alpha in _durfee_candidates(n, rank_step * p, shift)
+                ]
                 assert None not in got
                 assert len(got) == len(set(got))
                 assert members <= set(got), (n, p)

@@ -156,6 +156,22 @@ class TestDerham:
         assert code == 0
         assert out.splitlines() == ["enum: q^4", "closed: q^4"]
 
+    def test_check_alone_runs_both_routes(self, capsys):
+        code, out, _ = run(
+            capsys, "derham", "--family", "general", "--m", "2", "--n", "2", "--p", "0", "--check"
+        )
+        assert code == 0
+        assert out.splitlines() == ["enum: q^4", "closed: q^4"]
+
+    @pytest.mark.parametrize("method", ["enum", "closed"])
+    def test_check_with_a_single_method_is_usage_error(self, capsys, method):
+        with pytest.raises(SystemExit) as exc:
+            main(["derham", "--family", "symm", "--n", "3", "--p", "1", "--method", method, "--check"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--method" in err
+
     def test_default_method_is_closed(self, capsys):
         code, out, _ = run(capsys, "derham", "--family", "symm", "--n", "3", "--p", "2")
         assert code == 0

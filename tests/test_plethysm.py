@@ -5,10 +5,12 @@ import pytest
 from detstrata import (
     Partition,
     cauchy_exterior,
+    enumerate_in_rectangle,
     schur_dimension,
     skew_exterior_partitions,
     symmetric_exterior_partitions,
 )
+from detstrata.plethysm import _frobenius_weight
 
 from helpers import weyl_dimension
 
@@ -111,6 +113,37 @@ class TestSkewExterior:
                     assert padded[r + 1 :] == alpha.conjugate().pad(len(padded) - r - 1)
 
 
+class TestFrobeniusWeight:
+    """The shared summand weight has Frobenius form (b_1 + 2 shift - 1, .. | b_1, ..)."""
+
+    def test_frobenius_rows_differ_by_the_shift(self):
+        for shift in (0, 1):
+            for n in range(1, 12):
+                for r in range(n + shift):
+                    cols = n - r - 1 + shift
+                    for k in range(r * cols + 1):
+                        for alpha in enumerate_in_rectangle(r, cols, k):
+                            w = _frobenius_weight(shift, n, r, alpha.parts)
+                            assert len(w) == n and w == tuple(sorted(w, reverse=True))
+                            assert w[-1] >= 0
+                            conj = [sum(1 for a in w if a >= j) for j in range(1, n + 1)]
+                            rows = [j for j in range(1, n + 1) if w[j - 1] >= j]
+                            assert rows == list(range(1, r + 1)), (shift, n, r, alpha)
+                            for j in rows:
+                                a, b = w[j - 1] - j, conj[j - 1] - j
+                                assert a - b == 2 * shift - 1, (shift, n, r, alpha)
+
+    def test_none_outside_the_box(self):
+        for shift in (0, 1):
+            for n in range(1, 8):
+                for r in range(n + shift):
+                    cols = n - r - 1 + shift
+                    for k in range((r + 1) * (cols + 1) + 1):
+                        for alpha in enumerate_in_rectangle(r + 1, cols + 1, k):
+                            inside = alpha.fits_in(r, cols)
+                            assert (_frobenius_weight(shift, n, r, alpha.parts) is None) != inside
+
+
 class TestSchurDimension:
     def test_examples(self):
         assert schur_dimension(Partition((1, 1)), 2) == 1
@@ -128,8 +161,6 @@ class TestSchurDimension:
             schur_dimension(Partition((1,)), -1)
 
     def test_matches_weyl_product(self):
-        from detstrata import enumerate_in_rectangle
-
         for k in range(17):
             for p in enumerate_in_rectangle(4, 4, k):
                 for N in range(6):

@@ -1,5 +1,7 @@
+import ast
 import os
 import re
+import sys
 
 import pytest
 
@@ -33,6 +35,14 @@ class TestDerivedQuantities:
         assert MatrixSpace.general(4, 3).dim == 12
         assert MatrixSpace.symmetric(4).dim == 10
         assert MatrixSpace.skew(5).dim == 10
+
+    def test_dimension_up_to_12(self):
+        for n in range(1, 13):
+            for m in range(n, 13):
+                assert MatrixSpace.general(m, n).dim == m * n
+            assert MatrixSpace.symmetric(n).dim == n * (n + 1) // 2
+            if n >= 2:
+                assert MatrixSpace.skew(n).dim == n * (n - 1) // 2
 
     def test_strata_count(self):
         assert MatrixSpace.general(4, 3).num_strata == 4
@@ -84,3 +94,27 @@ def test_family_knowledge_lives_only_in_the_records():
                 if re.search(r"family\s*[!=]=", line):
                     offenders.append(f"{name}:{lineno}: {line.strip()}")
     assert offenders == []
+
+
+def test_package_imports_only_the_standard_library():
+    """The package is stdlib-only: every absolute import names a standard-library module."""
+    package = os.path.dirname(detstrata.__file__)
+    foreign = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{name}:{node.lineno}: {module}"
+                for module in modules
+                if module.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
