@@ -8,10 +8,11 @@ import sys
 from functools import lru_cache
 
 from .characters import multiplicity
-from .derham import ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
+from .derham import _closed_factors, ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
 from .obstructions import StrataMatrix, chi_closed, euler_closed, micro_indices, signed_micro, verify
 from .partitions import IntegerWeight
 from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
+from .qpoly import _json_text, gauss_binomial
 from .spaces import FAMILIES, GENERAL, MatrixSpace, spaces_up_to
 
 FAMILY_TOKENS = {record.token: family for family, record in FAMILIES.items()}
@@ -54,7 +55,6 @@ def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str)
 
 
 def _print_ic(space: MatrixSpace, fmt: str) -> None:
-    polys = [ic_poincare(space, p) for p in space.strata]
     if fmt == "json":
         # "polys" sorts after the other keys, so the polys close the object.
         head = _dumps({
@@ -63,9 +63,19 @@ def _print_ic(space: MatrixSpace, fmt: str) -> None:
             "kind": "ic",
             "order": space.num_strata,
         })
-        texts = ", ".join(poly._json_text() for poly in polys)
-        print(head[:-1], ', "polys": [', texts, "]}", sep="")
-    elif fmt == "csv":
+        # Each distinct row [a, b] = [a, a - b] is rendered once, at the step of its power of q.
+        rows: dict[tuple[int, int], str] = {}
+        texts = []
+        for p in space.strata:
+            a, b, power, shift = _closed_factors(space, p)
+            key = (a, min(b, a - b))
+            if key not in rows:
+                rows[key] = _json_text(gauss_binomial(a, b).coeffs, power)
+            texts.append(f'{{"coeffs": {rows[key]}, "min_exp": {shift}}}')
+        print(head[:-1], ', "polys": [', ", ".join(texts), "]}", sep="")
+        return
+    polys = [ic_poincare(space, p) for p in space.strata]
+    if fmt == "csv":
         print("stratum,exponent,coefficient")
         for p, poly in enumerate(polys):
             for e in poly.support():
@@ -140,10 +150,14 @@ def _cmd_plethysm(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def _cmd_character(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     space = _build_space(parser, args)
+    entries = []
+    for tok in args.weight.split(","):
+        try:
+            entries.append(int(tok))
+        except ValueError:
+            parser.error(f"--weight: {tok!r} is not an integer")
     try:
-        entries = tuple(int(tok) for tok in args.weight.split(","))
-        weight = IntegerWeight(entries)
-        value = multiplicity(space, args.p, weight)
+        value = multiplicity(space, args.p, IntegerWeight(tuple(entries)))
     except ValueError as exc:
         parser.error(str(exc))
     print(value)

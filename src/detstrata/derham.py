@@ -82,21 +82,25 @@ def inv_derham_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
     return _enum_all(space)[p]
 
 
-def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:
-    """Closed form of the same generating function: a q-binomial times a power of q.
+def _closed_factors(space: MatrixSpace, p: int) -> tuple[int, int, int, int]:
+    """(a, b, power, shift): the IC Poincare polynomial of stratum p is [a, b](q**power) * q**shift.
 
-    The family record gives the q-binomial and the power of q it is taken in;
-    the shift is the codimension dim - d_p of the stratum closure.
+    The family record gives the q-binomial and its power of q; shift is -d_p.
     """
-    codim = space.dim - space.stratum_dim(p)
     record = space.record
-    a, b = record.gf_binomial(space.n, p)
-    return gauss_binomial(a, b).substitute_power(record.gf_power).shift(codim)
+    return (*record.gf_binomial(space.n, p), record.gf_power, -space.stratum_dim(p))
+
+
+def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:
+    """Closed form of the same generating function: the IC Poincare polynomial times q**dim."""
+    a, b, power, shift = _closed_factors(space, p)
+    return gauss_binomial(a, b).substitute_power(power).shift(shift + space.dim)
 
 
 def ic_poincare(space: MatrixSpace, p: int) -> LaurentPoly:
-    """IC Poincare polynomial of the stratum closure: the generating function shifted by -dim."""
-    return inv_derham_gf_closed(space, p).shift(-space.dim)
+    """IC Poincare polynomial of the stratum closure, from ``_closed_factors``."""
+    a, b, power, shift = _closed_factors(space, p)
+    return gauss_binomial(a, b).substitute_power(power).shift(shift)
 
 
 def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:

@@ -30,21 +30,19 @@ def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return min_exp + lo, coeffs[lo:hi]
 
 
-def _stride(coeffs: tuple[int, ...]) -> int:
-    """The step g of a trimmed run's zero pattern: every offset off a multiple of g holds 0.
+def _json_text(run: tuple[int, ...], step: int) -> str:
+    """Exactly ``json.dumps`` of the coefficient list of ``run`` with q replaced by q**step.
 
-    g is the first gap after the leading coefficient, confirmed on every other
-    residue slice; it is 1 when that check fails or the run has fewer than two terms.
+    Only ``run`` is formatted: the step - 1 zeros between its entries are
+    joined in as text, and a palindromic run formats its first half and
+    mirrors the strings.
     """
-    g = 1
-    while g < len(coeffs) and coeffs[g] == 0:
-        g += 1
-    if g >= len(coeffs):
-        return 1
-    for r in range(1, g):
-        if any(coeffs[r::g]):
-            return 1
-    return g
+    if run == run[::-1]:
+        half = list(map(str, run[: (len(run) + 1) // 2]))
+        texts = half + half[: len(run) // 2][::-1]
+    else:
+        texts = list(map(str, run))
+    return "[" + (", " + "0, " * (step - 1)).join(texts) + "]"
 
 
 @dataclass(frozen=True)
@@ -199,22 +197,6 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
-    def _json_text(self) -> str:
-        """Exactly ``json.dumps(self.to_json(), sort_keys=True)``, formatting ``coeffs[::g]`` only.
-
-        The g - 1 zeros between stride steps are joined in as text, and a
-        palindromic stride run formats its first half and mirrors the strings.
-        """
-        g = _stride(self.coeffs)
-        run = self.coeffs[::g]
-        if run == run[::-1]:
-            half = list(map(str, run[: (len(run) + 1) // 2]))
-            texts = half + half[: len(run) // 2][::-1]
-        else:
-            texts = list(map(str, run))
-        body = (", " + "0, " * (g - 1)).join(texts)
-        return f'{{"coeffs": [{body}], "min_exp": {self.min_exp}}}'
 
     @classmethod
     def from_json(cls, data: dict) -> LaurentPoly:

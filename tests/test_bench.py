@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark: one worker pass per enumeration workload, every answer checked.
+"""Smoke test of the benchmark: one worker pass per workload, every answer checked.
 
 The worker compares each output with the golden digests recorded from the
 seed, so a pass with no failures pins the byte-identical output.
@@ -25,7 +25,7 @@ def pool_ids(workload: str, monkeypatch) -> set[str]:
     return {query.qid for query in module.POOLS[workload]()}
 
 
-@pytest.mark.parametrize("workload", ["verify_sweep", "enum_strata"])
+@pytest.mark.parametrize("workload", ["verify_sweep", "enum_strata", "closed_tables"])
 def test_worker_pass_answers_every_query_correctly(workload, monkeypatch):
     proc = subprocess.run(
         [sys.executable, os.path.join(BENCH, "worker.py"), "--workload", workload,

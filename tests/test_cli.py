@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 
 import pytest
 from helpers import reference_ic_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detstrata
 import detstrata.cli
-from detstrata import LaurentPoly, MatrixSpace, StrataMatrix, euler_closed, ic_poincare, qpoly
+from detstrata import LaurentPoly, MatrixSpace, StrataMatrix, euler_closed, gauss_binomial, qpoly
 from detstrata.cli import main
 
 
@@ -103,6 +107,8 @@ IC_JSON_SPACES = (
     + [MatrixSpace.symmetric(n) for n in range(1, 13)]
     + [MatrixSpace.skew(n) for n in range(2, 13)]
     + [MatrixSpace.general(30, 30), MatrixSpace.symmetric(60), MatrixSpace.skew(60)]
+    # odd n moves epsilon_symmetric, and m > n the codimension, off the benchmark's shapes
+    + [MatrixSpace.general(33, 30), MatrixSpace.symmetric(61), MatrixSpace.skew(61)]
 )
 
 
@@ -120,31 +126,32 @@ class TestIcJson:
         assert out == reference_ic_json(space) + "\n"
 
     def test_stride_and_palindrome_paths_run(self, capsys, monkeypatch):
-        """symmetric(40): every IC polynomial is strided by 4 and palindromic, so both shortcuts act."""
-        strides, formatted = [], []
+        """symmetric(40): each distinct q-binomial row is formatted once, by its palindromic half.
 
-        def spy_stride(coeffs, real=qpoly._stride):
-            strides.append((len(coeffs), real(coeffs)))
-            return strides[-1][1]
+        Strata 2k and 2k + 1 share a row, as do [a, b] and [a, a - b]; every
+        row is taken in q**4, and no polynomial is expanded to get there.
+        """
+        formatted, substituted = [], []
 
         def spy_str(value):
             formatted.append(value)
             return format(value)
 
-        monkeypatch.setattr(qpoly, "_stride", spy_stride)
         monkeypatch.setattr(qpoly, "str", spy_str, raising=False)
+        monkeypatch.setattr(LaurentPoly, "substitute_power", lambda *a: substituted.append(a))
         code, out, _ = run(capsys, "table", "--family", "symm", "--n", "40", "--kind", "ic",
                            "--format", "json")
         monkeypatch.undo()
         assert code == 0
+        assert substituted == []
         space = MatrixSpace.symmetric(40)
         assert out == reference_ic_json(space) + "\n"
-        assert len(strides) == space.num_strata
-        multi_term = [g for length, g in strides if length > 1]
-        assert len(multi_term) > space.num_strata // 2
-        assert set(multi_term) == {4}
-        runs = [ic_poincare(space, p).coeffs[::4] for p in space.strata]
-        assert len(formatted) == sum((len(r) + 1) // 2 for r in runs) < sum(map(len, runs))
+        rows, per_stratum = {}, 0
+        for p in space.strata:
+            a, b = space.record.gf_binomial(space.n, p)
+            row = rows[a, min(b, a - b)] = gauss_binomial(a, b).coeffs
+            per_stratum += (len(row) + 1) // 2
+        assert len(formatted) == sum((len(row) + 1) // 2 for row in rows.values()) < per_stratum
 
 
 class TestDerham:
@@ -246,6 +253,15 @@ class TestCharacter:
         with pytest.raises(SystemExit) as exc:
             main(["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "0,2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("weight, token", [("1,,2", "''"), ("2,x", "'x'"), ("1.5", "'1.5'")])
+    def test_malformed_weight_names_the_flag_and_token(self, capsys, weight, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", weight])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"detstrata: error: --weight: {token} is not an integer"
 
 
 class TestVerify:
@@ -386,3 +402,62 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_new_parser(self):
         assert detstrata.cli.build_parser() is not detstrata.cli.build_parser()
+
+
+SIZES = st.integers(-2, 8).map(str)
+FLAG_VALUES = {
+    "--family": st.sampled_from(["general", "symm", "skew"]),
+    "--format": st.sampled_from(["text", "json", "csv"]),
+    "--method": st.sampled_from(["enum", "closed", "both"]),
+    "--weight": st.lists(st.sampled_from(["-2", "-1", "0", "1", "2", "3", "", "x"]),
+                         min_size=1, max_size=5).map(",".join),
+    **dict.fromkeys(["--n", "--m", "--p", "--i", "--max"], SIZES),
+}
+KINDS = {
+    "table": st.sampled_from(["euler", "chi", "micro", "ic"]),
+    "plethysm": st.sampled_from(["cauchy", "symm", "skew"]),
+}
+FAMILY_FLAGS = ["--family", "--n", "--m"]
+COMMAND_FLAGS = {
+    "table": [*FAMILY_FLAGS, "--kind", "--format", "--signed"],
+    "derham": [*FAMILY_FLAGS, "--p", "--method", "--check"],
+    "plethysm": ["--kind", "--n", "--m", "--i"],
+    "character": [*FAMILY_FLAGS, "--p", "--weight"],
+    "verify": ["--family", "--max"],
+    "bogus": [],
+}
+OPTIONAL_FLAGS = {"--m", "--format", "--signed", "--method", "--check"}
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand and its flags in any order: most kept, some missing, repeated or unknown.
+
+    One value in ten is replaced by a word that no flag accepts.
+    """
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    values = {**FLAG_VALUES, "--kind": KINDS.get(command)}
+    flags = [flag for flag in draw(st.permutations(COMMAND_FLAGS[command]))
+             if draw(st.booleans() if flag in OPTIONAL_FLAGS else st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from([*COMMAND_FLAGS[command], "--bogus"]), max_size=1))
+    argv = [command]
+    for flag in flags:
+        if values.get(flag) is None:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(values[flag]) if draw(st.integers(0, 9)) else "bogus"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument_vectors())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    """Every small argument vector answers or exits 1 or 2, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -84,7 +84,7 @@ def strided_polys(draw):
     return poly.substitute_power(draw(st.integers(1, 5)))
 
 
-# Arbitrary supports, so the first gap need not be the stride: {0, 4, 6} has gcd 2.
+# Arbitrary supports, so the gaps between terms need not be equal: {0, 4, 6}.
 sparse_polys = st.builds(
     LaurentPoly.from_terms,
     st.dictionaries(st.integers(-20, 20), st.integers(-3, 3).filter(bool), max_size=5),
@@ -240,28 +240,15 @@ class TestRendering:
         data = json.loads(json.dumps(p.to_json()))
         assert LaurentPoly.from_json(data) == p
 
-    @given(rendered_polys)
-    @example(LaurentPoly.zero())
-    @example(LaurentPoly.q_power(-7, -(2**70)))
-    @example(LaurentPoly(-9, (2**65, 0, 0, 5, 0, 0, 2**65)))
-    @example(LaurentPoly(3, (1, 0, 0, 0, 1, 0, 1)))
-    def test_json_text_matches_json_dumps(self, p):
-        assert p._json_text() == json.dumps(p.to_json(), sort_keys=True)
-
-    @given(rendered_polys)
-    @example(LaurentPoly(0, (1, 0, 0, 0, 1, 0, 1)))
-    def test_stride_against_the_gcd_of_the_support(self, p):
-        offsets = [k for k, c in enumerate(p.coeffs) if c]
-        g = qpoly._stride(p.coeffs)
-        assert all(c == 0 for k, c in enumerate(p.coeffs) if k % g)
-        if len(offsets) > 1 and offsets[1] == math.gcd(*offsets):
-            assert g == offsets[1]
-        else:  # one term, or a first gap that is not the stride
-            assert g == 1
-
-    def test_stride_of_the_closed_route(self):
-        assert qpoly._stride(gauss_binomial(9, 4).substitute_power(4).coeffs) == 4
-        assert qpoly._stride(gauss_binomial(9, 4).coeffs) == 1
+    @given(rendered_polys, st.integers(1, 5))
+    @example(LaurentPoly.zero(), 3)
+    @example(LaurentPoly.q_power(-7, -(2**70)), 4)
+    @example(LaurentPoly(-9, (2**65, 0, 0, 5, 0, 0, 2**65)), 2)
+    @example(LaurentPoly(3, (1, 0, 0, 0, 1, 0, 1)), 5)
+    @example(gauss_binomial(9, 4), 4)
+    def test_json_text_matches_json_dumps(self, p, step):
+        """The run of p, rendered in q**step, is json.dumps of the substituted coefficients."""
+        assert qpoly._json_text(p.coeffs, step) == json.dumps(list(p.substitute_power(step).coeffs))
 
 
 class TestGaussBinomial:
