@@ -5,14 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .characters import multiplicity
-from .derham import _closed_factors, ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
+from .derham import _closed_factors, inv_derham_gf_enum
 from .obstructions import StrataMatrix, chi_closed, euler_closed, micro_indices, signed_micro, verify
 from .partitions import IntegerWeight
 from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
-from .qpoly import _json_text, gauss_binomial
+from .qpoly import _half_row, _render
 from .spaces import FAMILIES, GENERAL, MatrixSpace, spaces_up_to
 
 FAMILY_TOKENS = {record.token: family for family, record in FAMILIES.items()}
@@ -55,6 +55,7 @@ def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str)
 
 
 def _print_ic(space: MatrixSpace, fmt: str) -> None:
+    factors = [_closed_factors(space, p) for p in space.strata]
     if fmt == "json":
         # "polys" sorts after the other keys, so the polys close the object.
         head = _dumps({
@@ -66,23 +67,22 @@ def _print_ic(space: MatrixSpace, fmt: str) -> None:
         # Each distinct row [a, b] = [a, a - b] is rendered once, at the step of its power of q.
         rows: dict[tuple[int, int], str] = {}
         texts = []
-        for p in space.strata:
-            a, b, power, shift = _closed_factors(space, p)
+        for a, b, power, shift in factors:
             key = (a, min(b, a - b))
             if key not in rows:
-                rows[key] = _json_text(gauss_binomial(a, b).coeffs, power)
+                rows[key] = _render(*_half_row(a, b), power, 0, "json")
             texts.append(f'{{"coeffs": {rows[key]}, "min_exp": {shift}}}')
         print(head[:-1], ', "polys": [', ", ".join(texts), "]}", sep="")
         return
-    polys = [ic_poincare(space, p) for p in space.strata]
     if fmt == "csv":
         print("stratum,exponent,coefficient")
-        for p, poly in enumerate(polys):
-            for e in poly.support():
-                print(f"{p},{e},{poly.coefficient(e)}")
-    else:
-        for p, poly in enumerate(polys):
-            print(f"p={p}: {poly}")
+    for p, (a, b, power, shift) in enumerate(factors):
+        text = _render(*_half_row(a, b), power, shift, fmt)
+        if fmt == "csv":
+            for line in text.split("\n"):
+                print(f"{p},{line}")
+        else:
+            print(f"p={p}: {text}")
 
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -113,16 +113,15 @@ def _cmd_derham(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     except ValueError as exc:
         parser.error(str(exc))
     method = "both" if args.check else args.method or "closed"
-    if method == "enum":
-        print(f"enum: {inv_derham_gf_enum(space, args.p)}")
-        return 0
-    if method == "closed":
-        print(f"closed: {inv_derham_gf_closed(space, args.p)}")
-        return 0
-    enum = inv_derham_gf_enum(space, args.p)
-    closed = inv_derham_gf_closed(space, args.p)
-    print(f"enum: {enum}")
-    print(f"closed: {closed}")
+    if method != "closed":
+        enum = str(inv_derham_gf_enum(space, args.p))
+        print(f"enum: {enum}")
+    if method != "enum":
+        # str(inv_derham_gf_closed(space, p)): the IC factors with the shift raised by dim
+        a, b, power, shift = _closed_factors(space, args.p)
+        closed = _render(*_half_row(a, b), power, shift + space.dim, "text")
+        print(f"closed: {closed}")
+    # The printed texts are canonical, so they differ exactly when the two polynomials do.
     if args.check and enum != closed:
         print(f"mismatch: {space} p={args.p}: enum={enum}, closed={closed}", file=sys.stderr)
         return 1
@@ -190,30 +189,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m", type=int, default=None, help="row count (general family only)")
 
-    p_table = sub.add_parser("table", help="print a strata matrix or the IC Poincare polynomials")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        # each handler reports usage errors through its own subparser
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=partial(handler, p))
+        return p
+
+    p_table = command("table", _cmd_table, "print a strata matrix or the IC Poincare polynomials")
     add_family(p_table)
     p_table.add_argument("--kind", choices=["euler", "chi", "micro", "ic"], required=True)
     p_table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_table.add_argument("--signed", action="store_true", help="sign the micro table by (-1)**d_i")
 
-    p_derham = sub.add_parser("derham", help="print invariant de Rham generating function(s)")
+    p_derham = command("derham", _cmd_derham, "print invariant de Rham generating function(s)")
     add_family(p_derham)
     p_derham.add_argument("--p", type=int, required=True)
     p_derham.add_argument("--method", choices=["enum", "closed", "both"], help="default: closed")
     p_derham.add_argument("--check", action="store_true", help="compute both routes, exit 1 on mismatch")
 
-    p_pleth = sub.add_parser("plethysm", help="list exterior power summand partitions as JSON")
+    p_pleth = command("plethysm", _cmd_plethysm, "list exterior power summand partitions as JSON")
     p_pleth.add_argument("--kind", choices=["cauchy", "symm", "skew"], required=True)
     p_pleth.add_argument("--n", type=int, required=True)
     p_pleth.add_argument("--m", type=int, default=None)
     p_pleth.add_argument("--i", type=int, required=True)
 
-    p_char = sub.add_parser("character", help="multiplicity of a weight in a stratum module")
+    p_char = command("character", _cmd_character, "multiplicity of a weight in a stratum module")
     add_family(p_char)
     p_char.add_argument("--p", type=int, required=True)
     p_char.add_argument("--weight", required=True, help="comma-separated integers, e.g. 2,0,-1")
 
-    p_verify = sub.add_parser("verify", help="run the two-route agreement suites up to a size bound")
+    p_verify = command("verify", _cmd_verify, "run the two-route agreement suites up to a size bound")
     p_verify.add_argument("--family", choices=sorted(FAMILY_TOKENS), required=True)
     p_verify.add_argument("--max", type=int, required=True)
 
@@ -231,16 +236,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "table": _cmd_table,
-        "derham": _cmd_derham,
-        "plethysm": _cmd_plethysm,
-        "character": _cmd_character,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](parser, args)
+    args = _parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

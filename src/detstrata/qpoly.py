@@ -9,9 +9,9 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Mapping
 
-# Most q-binomial coefficients the row cache holds at once.  Every row that
-# the closed tables up to general(200, 200) need fits; the row a call just
-# used is kept even when it alone is larger.
+# Most q-binomial coefficients the row cache holds at once, counting stored
+# halves.  The half rows [n, 0] .. [n, n // 2] of a general(n, n) table fit up
+# to n = 293; the row a call just used is kept even when it alone is larger.
 _ROW_CACHE_COEFFS = 1 << 20
 
 
@@ -30,19 +30,17 @@ def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return min_exp + lo, coeffs[lo:hi]
 
 
-def _json_text(run: tuple[int, ...], step: int) -> str:
-    """Exactly ``json.dumps`` of the coefficient list of ``run`` with q replaced by q**step.
+def _mirror(first, length: int):
+    """The palindrome of ``length`` entries whose first ceil(length / 2) entries are ``first``."""
+    return first + first[: length // 2][::-1]
 
-    Only ``run`` is formatted: the step - 1 zeros between its entries are
-    joined in as text, and a palindromic run formats its first half and
-    mirrors the strings.
-    """
-    if run == run[::-1]:
-        half = list(map(str, run[: (len(run) + 1) // 2]))
-        texts = half + half[: len(run) // 2][::-1]
-    else:
-        texts = list(map(str, run))
-    return "[" + (", " + "0, " * (step - 1)).join(texts) + "]"
+
+def _term(magnitude: str, exponent: int) -> str:
+    """One term of ``LaurentPoly.__str__`` without its sign: ``magnitude`` is |coefficient| as text."""
+    if exponent == 0:
+        return magnitude
+    var = "q" if exponent == 1 else f"q^{exponent}"
+    return var if magnitude == "1" else f"{magnitude}*{var}"
 
 
 @dataclass(frozen=True)
@@ -182,13 +180,7 @@ class LaurentPoly:
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            e = self.min_exp + i
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
+            body = _term(str(abs(c)), self.min_exp + i)
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -203,18 +195,24 @@ class LaurentPoly:
         return cls(int(data["min_exp"]), tuple(data["coeffs"]))
 
 
-def _product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """Coefficients of [a, b+1] from those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
+def _half_step(half: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """First half of [a, b+1] from the first half of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
 
-    Multiplying by 1 - q^k turns coefficient e into m[e] = c[e] - c[e-k].
-    The division by 1 - q^j is exact, so the quotient is j terms shorter and
-    satisfies p[e] = m[e] + p[e-j]: a running sum along each residue class of
-    exponents mod j.
+    [a, b] is a palindrome of length size = b(a-b) + 1, so c[e] beyond the
+    stored half is c[size - 1 - e], and 0 from size on.  Multiplying by
+    1 - q^k turns coefficient e into m[e] = c[e] - c[e-k].  The division by
+    1 - q^j is exact and satisfies p[e] = m[e] + p[e-j]: a running sum along
+    each residue class of exponents mod j.  Both only look back, so the first
+    ceil(L/2) entries of [a, b+1], of length L = (b+1)(a-b-1) + 1, need c
+    only below that bound, and stopping the sums there is exact.
     """
     k, j = a - b, b + 1
-    out = list(c) + [0] * k
-    out[k:] = map(sub, out[k:], c)
-    del out[-j:]
+    size = b * k + 1
+    stop = (j * (k - 1) + 2) // 2
+    c = _mirror(list(half), size)[:stop]
+    c += [0] * (stop - len(c))
+    out = c[:]
+    out[k:] = map(sub, c[k:], c)
     for r in range(j):
         out[r::j] = accumulate(out[r::j])
     return tuple(out)
@@ -223,9 +221,11 @@ def _product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 class _RowCache:
     """Prefixes [a, 0], ..., [a, k] of q-binomial rows, least recently used first.
 
-    A row is built once by the product step and later only extended.  The
-    cache is bounded by the number of coefficients it holds, and the row used
-    last is always kept.  One lock guards every lookup and update.
+    Each q-binomial is a palindrome, so only the first ceil(L/2) of its L
+    coefficients are stored, and ``held`` counts those.  A row is built once
+    by the product step and later only extended.  The cache is bounded by the
+    number of coefficients it holds, and the row used last is always kept.
+    One lock guards every lookup and update.
     """
 
     def __init__(self) -> None:
@@ -234,7 +234,7 @@ class _RowCache:
         self.held = 0
 
     def get(self, a: int, b: int) -> tuple[int, ...]:
-        """Coefficients of [a, b], for 0 <= b <= a."""
+        """First half of the coefficients of [a, b], for 0 <= b <= a // 2."""
         with self._lock:
             row = self.rows.get(a)
             if row is None:
@@ -243,7 +243,7 @@ class _RowCache:
             else:
                 self.rows.move_to_end(a)
             while len(row) <= b:
-                row.append(_product_step(row[-1], a, len(row) - 1))
+                row.append(_half_step(row[-1], a, len(row) - 1))
                 self.held += len(row[-1])
             while self.held > _ROW_CACHE_COEFFS and len(self.rows) > 1:
                 _, evicted = self.rows.popitem(last=False)
@@ -254,15 +254,46 @@ class _RowCache:
 _ROWS = _RowCache()
 
 
+def _half_row(a: int, b: int) -> tuple[tuple[int, ...], int]:
+    """(half, L) for [a, b], 0 <= b <= a: its first ceil(L/2) coefficients and its length L.
+
+    [a, b] = [a, a-b] has degree b(a-b), so L = b(a-b) + 1, and it is a
+    palindrome: q^(b(a-b)) [a, b](1/q) = [a, b].
+    """
+    b = min(b, a - b)
+    return _ROWS.get(a, b), b * (a - b) + 1
+
+
+def _render(half: tuple[int, ...], length: int, step: int, offset: int, fmt: str) -> str:
+    """Text of the palindrome ``_mirror(half, length)`` taken in q**step and times q**offset.
+
+    fmt "json" gives ``json.dumps`` of the coefficient list (the offset is
+    not part of it), "csv" one ``exponent,coefficient`` line per term, and
+    "text" the polynomial's ``str``.  Each coefficient of the half is
+    formatted once and the strings are mirrored; the step - 1 zeros between
+    terms are joined in as text (json) or skipped.  The coefficients must be
+    positive, as every q-binomial's are: the text and csv forms print no
+    signs and no zero terms.
+    """
+    texts = _mirror(list(map(str, half)), length)
+    if fmt == "json":
+        return "[" + (", " + "0, " * (step - 1)).join(texts) + "]"
+    exponents = range(offset, offset + step * length, step)
+    if fmt == "csv":
+        return "\n".join(map("{},{}".format, exponents, texts))
+    return " + ".join(map(_term, texts, exponents))
+
+
 def gauss_binomial(a: int, b: int) -> LaurentPoly:
     """The q-binomial coefficient: polynomial of degree b*(a-b) with constant term 1.
 
     Computed without recursion by the exact product step
     ``[a, b+1] = [a, b] * (1 - q**(a-b)) / (1 - q**(b+1))`` up to
-    ``min(b, a-b)``, using the symmetry ``[a, b] = [a, a-b]``; every
-    coefficient is an exact integer.  The coefficient of q**k counts
+    ``min(b, a-b)``, using the symmetry ``[a, b] = [a, a-b]``; only the first
+    half of each palindromic row is built and kept, and it is mirrored here.
+    Every coefficient is an exact integer.  The coefficient of q**k counts
     partitions of k inside the (a-b) x b box.
     """
     if b < 0 or b > a:
         raise ValueError(f"require 0 <= b <= a, got a={a}, b={b}")
-    return LaurentPoly._from_run(0, _ROWS.get(a, min(b, a - b)))
+    return LaurentPoly._from_run(0, _mirror(*_half_row(a, b)))

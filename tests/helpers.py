@@ -2,17 +2,19 @@
 
 Everything here recomputes quantities from first principles (Weyl dimension
 products, semistandard tableaux, brute-force symmetric powers) so the library
-is checked against code that shares none of its internals.  Three exceptions
+is checked against code that shares none of its internals.  Four exceptions
 check a fast route against the slow one it replaced: the Pascal recursion for
 q-binomials, which uses ``LaurentPoly`` addition and shifts to check the
-product-step route of ``gauss_binomial``, and the per-stratum enumeration,
+product-step route of ``gauss_binomial``; the full-row product step, which
+the half-row store of ``qpoly`` replaced; and the per-stratum enumeration,
 which uses the validated public ``Partition``, plethysm and ``member_*`` calls
 to check the one-pass raw-tuple route of ``inv_derham_gf_enum``.  Those public
 calls wrap the same builders and predicates as the route (checked on their own
 in ``test_plethysm`` and ``test_characters``), so this oracle checks the one
 pass: padding, conjugates, and the counting of each summand per stratum.
-The third is the renderer at the end: the ``json.dumps`` composition of the
-IC table, which the direct IC JSON writer must match byte for byte.
+The fourth is the renderers at the end: the ``json.dumps`` composition of the
+IC table and its text and CSV forms through ``ic_poincare`` and
+``LaurentPoly.__str__``, which the half-row writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import sub
 
 from detstrata import (
     GENERAL,
@@ -149,6 +152,31 @@ def dominant_box(n: int, bound: int = 6):
     return combinations_with_replacement(range(bound, -bound - 1, -1), n)
 
 
+def full_product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """All coefficients of [a, b+1] from all those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
+
+    Multiplying by 1 - q^k turns coefficient e into m[e] = c[e] - c[e-k].
+    The division by 1 - q^j is exact, so the quotient is j terms shorter and
+    satisfies p[e] = m[e] + p[e-j]: a running sum along each residue class of
+    exponents mod j.
+    """
+    k, j = a - b, b + 1
+    out = list(c) + [0] * k
+    out[k:] = map(sub, out[k:], c)
+    del out[-j:]
+    for r in range(j):
+        out[r::j] = accumulate(out[r::j])
+    return tuple(out)
+
+
+def full_step_rows(a: int) -> list[tuple[int, ...]]:
+    """All coefficients of [a, 0], ..., [a, a // 2], each by ``full_product_step`` from the last."""
+    rows = [(1,)]
+    for b in range(a // 2):
+        rows.append(full_product_step(rows[-1], a, b))
+    return rows
+
+
 @lru_cache(maxsize=None)
 def pascal_gauss_binomial(a: int, b: int) -> LaurentPoly:
     """The q-binomial by the Pascal-type recursion [a, b] = [a-1, b-1] + q**b [a-1, b].
@@ -207,3 +235,14 @@ def reference_ic_json(space: MatrixSpace) -> str:
         "order": space.num_strata,
         "polys": [ic_poincare(space, p).to_json() for p in space.strata],
     }, sort_keys=True)
+
+
+def reference_ic_table(space: MatrixSpace, fmt: str) -> str:
+    """``table --kind ic --format text|csv`` from ``ic_poincare`` and ``LaurentPoly.__str__``."""
+    polys = [ic_poincare(space, p) for p in space.strata]
+    if fmt == "csv":
+        lines = ["stratum,exponent,coefficient"]
+        lines += [f"{p},{e},{poly.coefficient(e)}" for p, poly in enumerate(polys) for e in poly.support()]
+    else:
+        lines = [f"p={p}: {poly}" for p, poly in enumerate(polys)]
+    return "\n".join(lines) + "\n"

@@ -6,13 +6,22 @@ import subprocess
 import sys
 
 import pytest
-from helpers import reference_ic_json
+from helpers import reference_ic_json, reference_ic_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detstrata
 import detstrata.cli
-from detstrata import LaurentPoly, MatrixSpace, StrataMatrix, euler_closed, gauss_binomial, qpoly
+from detstrata import (
+    LaurentPoly,
+    MatrixSpace,
+    StrataMatrix,
+    euler_closed,
+    gauss_binomial,
+    inv_derham_gf_closed,
+    inv_derham_gf_enum,
+    qpoly,
+)
 from detstrata.cli import main
 
 
@@ -103,9 +112,9 @@ class TestTable:
 
 
 IC_JSON_SPACES = (
-    [MatrixSpace.general(m, n) for n in range(1, 7) for m in range(n, 7)]
-    + [MatrixSpace.symmetric(n) for n in range(1, 13)]
-    + [MatrixSpace.skew(n) for n in range(2, 13)]
+    [MatrixSpace.general(m, n) for n in range(1, 9) for m in range(n, 9)]
+    + [MatrixSpace.symmetric(n) for n in range(1, 15)]
+    + [MatrixSpace.skew(n) for n in range(2, 15)]
     + [MatrixSpace.general(30, 30), MatrixSpace.symmetric(60), MatrixSpace.skew(60)]
     # odd n moves epsilon_symmetric, and m > n the codimension, off the benchmark's shapes
     + [MatrixSpace.general(33, 30), MatrixSpace.symmetric(61), MatrixSpace.skew(61)]
@@ -126,32 +135,67 @@ class TestIcJson:
         assert out == reference_ic_json(space) + "\n"
 
     def test_stride_and_palindrome_paths_run(self, capsys, monkeypatch):
-        """symmetric(40): each distinct q-binomial row is formatted once, by its palindromic half.
+        """symmetric(40): each distinct q-binomial row is formatted once, from its stored half.
 
         Strata 2k and 2k + 1 share a row, as do [a, b] and [a, a - b]; every
-        row is taken in q**4, and no polynomial is expanded to get there.
+        row is taken in q**4, and no polynomial is built to get there.
         """
-        formatted, substituted = [], []
+        formatted, built = [], []
 
         def spy_str(value):
             formatted.append(value)
             return format(value)
 
         monkeypatch.setattr(qpoly, "str", spy_str, raising=False)
-        monkeypatch.setattr(LaurentPoly, "substitute_power", lambda *a: substituted.append(a))
+        monkeypatch.setattr(LaurentPoly, "_from_run", lambda *a: built.append(a))
+        monkeypatch.setattr(LaurentPoly, "substitute_power", lambda *a: built.append(a))
         code, out, _ = run(capsys, "table", "--family", "symm", "--n", "40", "--kind", "ic",
                            "--format", "json")
         monkeypatch.undo()
         assert code == 0
-        assert substituted == []
+        assert built == []
         space = MatrixSpace.symmetric(40)
         assert out == reference_ic_json(space) + "\n"
         rows, per_stratum = {}, 0
         for p in space.strata:
             a, b = space.record.gf_binomial(space.n, p)
-            row = rows[a, min(b, a - b)] = gauss_binomial(a, b).coeffs
-            per_stratum += (len(row) + 1) // 2
-        assert len(formatted) == sum((len(row) + 1) // 2 for row in rows.values()) < per_stratum
+            coeffs = gauss_binomial(a, b).coeffs
+            rows.setdefault((a, min(b, a - b)), coeffs[: (len(coeffs) + 1) // 2])
+            per_stratum += (len(coeffs) + 1) // 2
+        assert formatted == [c for half in rows.values() for c in half]
+        assert len(formatted) < per_stratum
+
+
+class TestClosedText:
+    """Every text the closed route prints comes from the half rows, byte-identical to the polynomials."""
+
+    @pytest.mark.parametrize("space", IC_JSON_SPACES, ids=str)
+    def test_ic_text_and_csv_equal_the_ic_poincare_rendering(self, capsys, space):
+        for fmt in ("text", "csv"):
+            code, out, _ = run(capsys, "table", *cli_args(space), "--kind", "ic", "--format", fmt)
+            assert code == 0
+            assert out == reference_ic_table(space, fmt)
+
+    @pytest.mark.parametrize("space", IC_JSON_SPACES, ids=str)
+    def test_derham_closed_line_is_str_of_the_closed_gf(self, capsys, space):
+        for p in space.strata:
+            code, out, _ = run(capsys, "derham", *cli_args(space), "--p", str(p), "--method", "closed")
+            assert code == 0
+            assert out == f"closed: {inv_derham_gf_closed(space, p)}\n", p
+
+    def test_derham_closed_route_expands_nothing(self, capsys, monkeypatch):
+        """The closed line neither substitutes q**power nor prints through LaurentPoly.__str__."""
+        cases = [(MatrixSpace.general(9, 9), 8), (MatrixSpace.general(9, 9), 9),
+                 (MatrixSpace.symmetric(13), 5), (MatrixSpace.skew(13), 3)]
+        expected = [f"closed: {inv_derham_gf_closed(space, p)}\n" for space, p in cases]
+        calls = []
+        monkeypatch.setattr(LaurentPoly, "substitute_power", lambda *a: calls.append(a))
+        monkeypatch.setattr(LaurentPoly, "__str__", lambda *a: calls.append(a))
+        outs = [run(capsys, "derham", *cli_args(space), "--p", str(p))[1] for space, p in cases]
+        monkeypatch.undo()
+        assert calls == []
+        assert outs == expected
+        assert expected[0].startswith("closed: q + ") and expected[1] == "closed: 1\n"
 
 
 class TestDerham:
@@ -190,6 +234,16 @@ class TestDerham:
         )
         assert code == 0
         assert out == "enum: q + q^5\n"
+
+    def test_check_reports_a_mismatch(self, capsys, monkeypatch):
+        def perturbed(space, p, real=detstrata.cli.inv_derham_gf_enum):
+            return real(space, p) + LaurentPoly.q_power(3)
+
+        monkeypatch.setattr(detstrata.cli, "inv_derham_gf_enum", perturbed)
+        code, out, err = run(capsys, "derham", "--family", "symm", "--n", "3", "--p", "2", "--check")
+        assert code == 1
+        assert out == "enum: q + q^3 + q^5\nclosed: q + q^5\n"
+        assert err == "mismatch: symmetric(3) p=2: enum=q + q^3 + q^5, closed=q + q^5\n"
 
     def test_stratum_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -261,7 +315,7 @@ class TestCharacter:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1] == f"detstrata: error: --weight: {token} is not an integer"
+        assert err.splitlines()[-1] == f"detstrata character: error: --weight: {token} is not an integer"
 
 
 class TestVerify:
@@ -366,6 +420,25 @@ class TestArgumentErrors:
         assert exc.value.code == 2
 
 
+class TestHandlerUsage:
+    @pytest.mark.parametrize("argv", [
+        ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,,2"],
+        ["table", "--family", "symm", "--n", "2", "--kind", "euler", "--signed"],
+        ["derham", "--family", "symm", "--n", "3", "--p", "1", "--method", "enum", "--check"],
+        ["plethysm", "--kind", "cauchy", "--n", "2", "--i", "1"],
+        ["verify", "--family", "skew", "--max", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_handler_errors_print_their_subcommand_usage(self, capsys, argv):
+        """An error a handler raises prints the usage of its subcommand, as argparse's own do."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: detstrata {argv[0]} ")
+        assert err.splitlines()[-1].startswith(f"detstrata {argv[0]}: error: ")
+
+
 class TestParserReuse:
     ARGVS = [
         ["derham", "--family", "general", "--m", "3", "--n", "2", "--p", "1", "--check"],
@@ -461,3 +534,48 @@ def test_fuzzed_arguments_exit_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+FAMILY_SIZES = {"general": st.integers(1, 9), "symm": st.integers(1, 14), "skew": st.integers(2, 14)}
+
+
+@st.composite
+def closed_route_commands(draw):
+    """A valid ``table --kind ic`` or ``derham --method closed|both`` command and its space."""
+    family = draw(st.sampled_from(sorted(FAMILY_SIZES)))
+    n = draw(FAMILY_SIZES[family])
+    if family == "general":
+        m = draw(st.integers(n, 10))
+        space, flags = MatrixSpace.general(m, n), ["--m", str(m)]
+    else:
+        space = MatrixSpace.symmetric(n) if family == "symm" else MatrixSpace.skew(n)
+        flags = []
+    flags = ["--family", family, "--n", str(n), *flags]
+    if draw(st.booleans()):
+        fmt = draw(st.sampled_from(["text", "json", "csv"]))
+        return ["table", *flags, "--kind", "ic", "--format", fmt], space
+    p = draw(st.sampled_from(list(space.strata)))
+    method = draw(st.sampled_from(
+        [[], ["--method", "closed"], ["--method", "both"], ["--check"], ["--method", "both", "--check"]]
+    ))
+    return ["derham", *flags, "--p", str(p), *method], space
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_route_commands())
+def test_closed_route_commands_print_the_library_values(command):
+    """Valid commands of the closed route exit 0 and print exactly the library's polynomials."""
+    argv, space = command
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    if argv[0] == "table":
+        fmt = argv[-1]
+        expected = reference_ic_json(space) + "\n" if fmt == "json" else reference_ic_table(space, fmt)
+    else:
+        p = int(argv[argv.index("--p") + 1])
+        expected = f"closed: {inv_derham_gf_closed(space, p)}\n"
+        if "both" in argv or "--check" in argv:
+            expected = f"enum: {inv_derham_gf_enum(space, p)}\n" + expected
+    assert out.getvalue() == expected, argv

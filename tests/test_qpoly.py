@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from helpers import pascal_gauss_binomial
+from helpers import full_step_rows, pascal_gauss_binomial
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -90,11 +90,35 @@ sparse_polys = st.builds(
     st.dictionaries(st.integers(-20, 20), st.integers(-3, 3).filter(bool), max_size=5),
 )
 rendered_polys = st.one_of(strided_polys(), sparse_polys, wide_polys)
+positive_coefficients = st.one_of(
+    st.integers(1, 9),
+    st.integers(1, 2**80),
+    st.sampled_from([2**64, 2**64 + 1]),
+)
+
+
+@st.composite
+def half_palindromes(draw, elements=coefficients):
+    """(half, length): the first ceil(length / 2) coefficients of a palindrome of odd or even length."""
+    half = tuple(draw(st.lists(elements, min_size=1, max_size=6)))
+    return half, 2 * len(half) - draw(st.integers(0, 1))
+
+
+def dense_palindrome(half, length, step):
+    """The palindrome's coefficients in q**step, zeros included, entry by entry from ``half``."""
+    run = [0] * ((length - 1) * step + 1)
+    run[::step] = [half[min(i, length - 1 - i)] for i in range(length)]
+    return run
+
+
+def half_size(a, b):
+    """ceil(L/2) for the L = b(a-b) + 1 coefficients of [a, b]."""
+    return (b * (a - b) + 2) // 2
 
 
 def prefix_size(a, k):
-    """Coefficients held by the row prefix [a, 0], ..., [a, k]."""
-    return sum(b * (a - b) + 1 for b in range(k + 1))
+    """Coefficients held by the row prefix [a, 0], ..., [a, k]: the first half of each row."""
+    return sum(half_size(a, b) for b in range(k + 1))
 
 
 @pytest.fixture
@@ -106,6 +130,9 @@ def fresh_rows(monkeypatch):
 
 
 def cache_held(rows):
+    """Coefficients the cache holds, after checking that it holds exactly the half of each row."""
+    for a, row in rows.rows.items():
+        assert [len(c) for c in row] == [half_size(a, b) for b in range(len(row))], a
     return sum(len(c) for row in rows.rows.values() for c in row)
 
 
@@ -240,15 +267,33 @@ class TestRendering:
         data = json.loads(json.dumps(p.to_json()))
         assert LaurentPoly.from_json(data) == p
 
-    @given(rendered_polys, st.integers(1, 5))
-    @example(LaurentPoly.zero(), 3)
-    @example(LaurentPoly.q_power(-7, -(2**70)), 4)
-    @example(LaurentPoly(-9, (2**65, 0, 0, 5, 0, 0, 2**65)), 2)
-    @example(LaurentPoly(3, (1, 0, 0, 0, 1, 0, 1)), 5)
-    @example(gauss_binomial(9, 4), 4)
-    def test_json_text_matches_json_dumps(self, p, step):
-        """The run of p, rendered in q**step, is json.dumps of the substituted coefficients."""
-        assert qpoly._json_text(p.coeffs, step) == json.dumps(list(p.substitute_power(step).coeffs))
+    @given(half_palindromes(), st.integers(1, 5), st.integers(-30, 30))
+    @example(((-(2**70),), 1), 4, -7)
+    @example(((2**65, 0, 0, 5), 7), 2, -9)
+    @example(((2**65, 0, 0, 5), 8), 3, 0)
+    @example(qpoly._half_row(9, 4), 4, 0)
+    @example(qpoly._half_row(10, 5), 2, 0)
+    def test_json_text_matches_json_dumps(self, palindrome, step, offset):
+        """The palindrome, rendered in q**step, is json.dumps of its coefficients with the zeros."""
+        half, length = palindrome
+        expected = json.dumps(dense_palindrome(half, length, step))
+        assert qpoly._render(half, length, step, offset, "json") == expected
+
+    @given(half_palindromes(positive_coefficients), st.integers(1, 5), st.integers(-30, 30))
+    @example(((1,), 1), 1, 0)
+    @example(((1,), 1), 3, 1)
+    @example(((5,), 1), 2, 1)
+    @example(((1, 2), 3), 1, -1)
+    @example(((1, 2), 4), 2, -4)
+    @example(qpoly._half_row(9, 4), 4, -20)
+    @example(qpoly._half_row(10, 5), 2, -25)
+    def test_text_and_csv_match_str_and_terms(self, palindrome, step, offset):
+        """With positive coefficients the text is str of the polynomial and the csv its terms."""
+        half, length = palindrome
+        poly = LaurentPoly(offset, tuple(dense_palindrome(half, length, step)))
+        assert qpoly._render(half, length, step, offset, "text") == str(poly)
+        terms_csv = "\n".join(f"{e},{poly.coefficient(e)}" for e in poly.support())
+        assert qpoly._render(half, length, step, offset, "csv") == terms_csv
 
 
 class TestGaussBinomial:
@@ -300,6 +345,7 @@ class TestProductStep:
             monkeypatch.setattr(qpoly, "_ROW_CACHE_COEFFS", cap)
         pairs = [(a, b) for a in range(61) for b in range(a + 1)]
         random.Random(2105).shuffle(pairs)
+        reference = {a: full_step_rows(a) for a in range(61)}
         seen: set[int] = set()
         events = {"extend": 0, "evict": 0, "rebuild": 0}
         for a, b in pairs:
@@ -307,6 +353,9 @@ class TestProductStep:
             row_len = len(row) if row is not None else 0
             rows_before = set(fresh_rows.rows)
             assert gauss_binomial(a, b) == pascal_gauss_binomial(a, b), (a, b)
+            full = reference[a][min(b, a - b)]
+            assert full == pascal_gauss_binomial(a, b).coeffs
+            assert qpoly._half_row(a, b) == (full[: half_size(a, b)], len(full)), (a, b)
             if row is None and a in seen:
                 events["rebuild"] += 1
             elif row is not None and len(row) > row_len:
@@ -317,6 +366,14 @@ class TestProductStep:
         assert events["extend"] > 0
         if cap is not None:
             assert events["evict"] > 0 and events["rebuild"] > 0
+
+    @pytest.mark.slow
+    def test_half_rows_match_the_full_step_up_to_200(self, fresh_rows):
+        for a in range(201):
+            for b, full in enumerate(full_step_rows(a)):
+                assert qpoly._half_row(a, b) == (full[: half_size(a, b)], len(full)), (a, b)
+        assert fresh_rows.held == cache_held(fresh_rows)
+        assert fresh_rows.held <= max(qpoly._ROW_CACHE_COEFFS, prefix_size(200, 100))
 
     @pytest.mark.parametrize("a, b", [(5000, 2), (700, 1)])
     def test_large_row_with_a_cold_cache(self, a, b):
