@@ -98,8 +98,8 @@ def member_general(w: IntegerWeight, m: int, p: int) -> bool:
     return _member_general(w.entries, m, p)
 
 
-def _member_symmetric(w: tuple[int, ...], p: int) -> bool:
-    """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked).
+def _member_symmetric(w: tuple[int, ...], m: int | None, p: int) -> bool:
+    """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked); m is ignored.
 
     Entry n - p is +inf when p = n; entries n - p + 1 and n - p + 2 are
     -inf past the end.
@@ -127,11 +127,11 @@ def member_symmetric(w: IntegerWeight, p: int) -> bool:
     n = len(w)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
-    return _member_symmetric(w.entries, p)
+    return _member_symmetric(w.entries, None, p)
 
 
-def _member_skew(w: tuple[int, ...], p: int) -> bool:
-    """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked).
+def _member_skew(w: tuple[int, ...], m: int | None, p: int) -> bool:
+    """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked); m is ignored.
 
     For n even, entry n - 2p is +inf when 2p = n and entry n - 2p + 1 is
     -inf when p = 0; for n odd both pinned indices lie inside the weight.
@@ -166,7 +166,7 @@ def member_skew(w: IntegerWeight, p: int) -> bool:
     n = len(w)
     if not 0 <= p <= n // 2:
         raise ValueError(f"require 0 <= p <= floor(n/2), got p={p}, n={n}")
-    return _member_skew(w.entries, p)
+    return _member_skew(w.entries, None, p)
 
 
 def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -238,4 +238,4 @@ def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
     space.check_stratum(p)
     if len(w) != space.n:
         raise ValueError(f"weight length {len(w)} does not match n={space.n}")
-    return 1 if space.record.accepts(space, p, w.entries) else 0
+    return 1 if space.record.member(w.entries, space.m, p) else 0

@@ -35,15 +35,14 @@ def _build_space(parser: argparse.ArgumentParser, args: argparse.Namespace) -> M
         parser.error(str(exc))
 
 
+def _json_head(space: MatrixSpace, kind: str) -> dict:
+    """The keys every JSON table shares; its own key ("rows" or "polys") sorts after them."""
+    return {"family": space.family, "params": space.params(), "kind": kind, "order": space.num_strata}
+
+
 def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str) -> None:
     if fmt == "json":
-        print(_dumps({
-            "family": space.family,
-            "params": space.params(),
-            "kind": kind,
-            "order": matrix.order,
-            "rows": matrix.to_json(),
-        }))
+        print(_dumps({**_json_head(space, kind), "rows": matrix.to_json()}))
     elif fmt == "csv":
         print("stratum," + ",".join(str(j) for j in range(matrix.order)))
         for i, row in enumerate(matrix.rows):
@@ -57,13 +56,8 @@ def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str)
 def _print_ic(space: MatrixSpace, fmt: str) -> None:
     factors = [_closed_factors(space, p) for p in space.strata]
     if fmt == "json":
-        # "polys" sorts after the other keys, so the polys close the object.
-        head = _dumps({
-            "family": space.family,
-            "params": space.params(),
-            "kind": "ic",
-            "order": space.num_strata,
-        })
+        # "polys" sorts after the head's keys, so the polys close the object.
+        head = _dumps(_json_head(space, "ic"))
         # Each distinct row [a, b] = [a, a - b] is rendered once, at the step of its power of q.
         rows: dict[tuple[int, int], str] = {}
         texts = []
@@ -165,10 +159,9 @@ def _cmd_character(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
-    spaces = spaces_up_to(family, args.max)
-    if not spaces:
+    if args.max < FAMILIES[family].min_n:
         parser.error(f"--max {args.max} leaves no {family} space to verify")
-    for space in spaces:
+    for space in spaces_up_to(family, args.max):
         mismatch = verify(space)
         if mismatch is not None:
             print(f"mismatch: {mismatch}", file=sys.stderr)

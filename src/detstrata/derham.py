@@ -41,12 +41,11 @@ def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
     cost time, never a count.  Nothing relies on the character sets being
     disjoint: each stratum counts its own candidates.
     """
-    n = space.n
+    n, m = space.n, space.m
     counts = [[0] * (space.dim + 1) for _ in space.strata]
     record = space.record
     shift, member = record.shift, record.member
     if shift is None:
-        m = space.m
         for p in space.strata:
             for mu in _general_candidates(n, m, p):
                 if not _in_box(mu, n, m):
@@ -62,7 +61,7 @@ def _enum_all(space: MatrixSpace) -> tuple[LaurentPoly, ...]:
             for r, alpha in _durfee_candidates(n, step * p, shift):
                 w = _frobenius_weight(shift, n, r, alpha)
                 # w is None when (r, alpha) indexes no summand; |w| = 2 * degree
-                if w is not None and member(w, p):
+                if w is not None and member(w, m, p):
                     counts[p][sum(w) // 2] += 1
     return tuple(LaurentPoly(0, tuple(row)) for row in counts)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from operator import index
 
 from .derham import euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
 from .spaces import MatrixSpace
@@ -22,12 +22,16 @@ from .spaces import MatrixSpace
 
 @dataclass(frozen=True)
 class StrataMatrix:
-    """Square upper-triangular matrix of exact integers, indexed by strata."""
+    """Square upper-triangular matrix of exact integers, indexed by strata.
+
+    Built from any iterable of rows, each an iterable of ints; a float or a
+    string raises TypeError.  ``rows`` holds them as tuples.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         order = len(rows)
         for row in rows:
             if len(row) != order:
@@ -41,10 +45,6 @@ class StrataMatrix:
     @classmethod
     def identity(cls, order: int) -> StrataMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(order)) for i in range(order)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> StrataMatrix:
-        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def order(self) -> int:
@@ -77,7 +77,7 @@ def _signs(space: MatrixSpace) -> list[int]:
 def micro_indices(space: MatrixSpace) -> StrataMatrix:
     """Unsigned microlocal indices m_{i,j} of the IC modules, from the family record."""
     order, n, above = space.num_strata, space.n, space.record.micro
-    return StrataMatrix.from_rows(
+    return StrataMatrix(
         tuple(1 if i == j else above(n, j) if j == i + 1 else 0 for j in range(order))
         for i in range(order)
     )
@@ -86,7 +86,7 @@ def micro_indices(space: MatrixSpace) -> StrataMatrix:
 def signed_micro(space: MatrixSpace) -> StrataMatrix:
     """The matrix M with entries (-1)**d_i m_{i,j} (sign by row index)."""
     rows = zip(_signs(space), micro_indices(space).rows)
-    return StrataMatrix.from_rows(tuple(sign * x for x in row) for sign, row in rows)
+    return StrataMatrix(tuple(sign * x for x in row) for sign, row in rows)
 
 
 def chi_closed(space: MatrixSpace) -> StrataMatrix:
@@ -97,7 +97,7 @@ def chi_closed(space: MatrixSpace) -> StrataMatrix:
     """
     order, n, signs = space.num_strata, space.n, _signs(space)
     step, binomial = space.record.rank_step, space.record.gf_binomial
-    return StrataMatrix.from_rows(
+    return StrataMatrix(
         (0,) * i + tuple(signs[j] * comb(*binomial(n - step * i, j - i)) for j in range(i, order))
         for i in range(order)
     )
@@ -106,8 +106,8 @@ def chi_closed(space: MatrixSpace) -> StrataMatrix:
 def euler_closed(space: MatrixSpace) -> StrataMatrix:
     """Local Euler obstructions e_{i,j} in closed form, from the family record."""
     order, n, cell = space.num_strata, space.n, space.record.euler
-    return StrataMatrix.from_rows(
-        tuple(tuple(cell(n, i, j) if i <= j else 0 for j in range(order)) for i in range(order))
+    return StrataMatrix(
+        tuple(cell(n, i, j) if i <= j else 0 for j in range(order)) for i in range(order)
     )
 
 
@@ -128,7 +128,7 @@ def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:
         for j in range(i, order):
             gf = inv_derham_gf_enum(smaller, j - i)
             rows[i][j] = signs[i] * euler_char_at_origin(gf, smaller.dim)
-    return StrataMatrix.from_rows(rows)
+    return StrataMatrix(rows)
 
 
 def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
@@ -150,7 +150,7 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
             for k in range(i, j):
                 acc -= rows[i][k] * signed.entry(k, j)
             rows[i][j] = acc * signed.entry(j, j)  # diagonal is +-1, so * is 1/
-    return StrataMatrix.from_rows(rows)
+    return StrataMatrix(rows)
 
 
 def verify_index_identity(space: MatrixSpace) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -12,13 +13,14 @@ class Partition:
 
     The empty sequence is the zero partition.  Equality is structural, so the
     trimming makes ``Partition((3, 1, 0))`` and ``Partition((3, 1))`` the same
-    value.  Ordering is lexicographic on the stored parts.
+    value.  Ordering is lexicographic on the stored parts.  Parts go through
+    ``operator.index``, so a float or a string raises TypeError.
     """
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(a) for a in self.parts)
+        parts = tuple(map(index, self.parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -81,12 +83,15 @@ class Partition:
 
 @dataclass(frozen=True)
 class IntegerWeight:
-    """A weakly decreasing integer sequence of fixed, explicit length."""
+    """A weakly decreasing integer sequence of fixed, explicit length.
+
+    Entries go through ``operator.index``, so a float or a string raises TypeError.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(map(index, self.entries))
         for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise ValueError(f"entries must be weakly decreasing: {entries}")

@@ -12,6 +12,13 @@ Durfee square.
 from __future__ import annotations
 
 from .partitions import Partition, _box_partitions, _conjugate, _in_box, enumerate_in_rectangle
+from .spaces import MatrixSpace
+
+
+def _check_degree(space: MatrixSpace, i: int) -> None:
+    """The exterior powers of a space run from degree 0 to its dimension."""
+    if not 0 <= i <= space.dim:
+        raise ValueError(f"require 0 <= i <= {space.dim}, the dimension of {space}, got i={i}")
 
 
 def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
@@ -22,10 +29,7 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     n parts and mu' at most m parts, i.e. mu fits in the n x m box.
     Returned in decreasing lexicographic order.
     """
-    if not m >= n >= 1:
-        raise ValueError(f"require m >= n >= 1, got m={m}, n={n}")
-    if not 0 <= i <= m * n:
-        raise ValueError(f"require 0 <= i <= m*n, got i={i}")
+    _check_degree(MatrixSpace.general(m, n), i)
     return enumerate_in_rectangle(n, m, i)
 
 
@@ -60,6 +64,13 @@ def _exterior_weights(shift: int, n: int, i: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _frobenius_exterior(space: MatrixSpace, i: int) -> list[Partition]:
+    """The degree-i summands of a symmetric or skew space, at its record's shift, decreasing."""
+    _check_degree(space, i)
+    weights = _exterior_weights(space.record.shift, space.n, i)
+    return sorted((Partition(w) for w in weights), reverse=True)
+
+
 def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
     """Partitions of 2i indexing wedge^i(Sym^2 F), dim F = n.
 
@@ -67,11 +78,7 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
     r x (n - r) box and r^2 + r + 2|alpha| = 2i; the partition has first r
     rows r + 1 + alpha_j and the conjugate of alpha below the Durfee square.
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got n={n}")
-    if not 0 <= i <= n * (n + 1) // 2:
-        raise ValueError(f"require 0 <= i <= n(n+1)/2, got i={i}")
-    return sorted((Partition(w) for w in _exterior_weights(1, n, i)), reverse=True)
+    return _frobenius_exterior(MatrixSpace.symmetric(n), i)
 
 
 def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
@@ -82,11 +89,7 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
     r rows r + alpha_j, then a single row of length r, then the conjugate of
     alpha.
     """
-    if n < 2:
-        raise ValueError(f"require n >= 2, got n={n}")
-    if not 0 <= i <= n * (n - 1) // 2:
-        raise ValueError(f"require 0 <= i <= n(n-1)/2, got i={i}")
-    return sorted((Partition(w) for w in _exterior_weights(0, n, i)), reverse=True)
+    return _frobenius_exterior(MatrixSpace.skew(n), i)
 
 
 def schur_dimension(p: Partition, N: int) -> int:

@@ -6,7 +6,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, sub
+from operator import add, index, sub
 from typing import Mapping
 
 # Most q-binomial coefficients the row cache holds at once, counting stored
@@ -50,14 +50,15 @@ class LaurentPoly:
     ``coeffs[k]`` is the coefficient of ``q**(min_exp + k)``.  The run is
     trimmed so its first and last entries are nonzero; the zero polynomial is
     the canonical value with an empty run and ``min_exp == 0``.  All
-    coefficients are exact Python integers.
+    coefficients are exact Python integers: the exponent and coefficients go
+    through ``operator.index``, so a float or a string raises TypeError.
     """
 
     min_exp: int = 0
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        min_exp, coeffs = _trim(int(self.min_exp), tuple(int(c) for c in self.coeffs))
+        min_exp, coeffs = _trim(index(self.min_exp), tuple(map(index, self.coeffs)))
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -144,9 +145,10 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q**k (k may be negative); the coefficient run is shared, not copied."""
+        k = index(k)
         if self.is_zero:
             return self
-        return LaurentPoly._from_run(int(self.min_exp + k), self.coeffs)
+        return LaurentPoly._from_run(self.min_exp + k, self.coeffs)
 
     def substitute_power(self, k: int) -> LaurentPoly:
         """Replace q by q**k, scaling every exponent by k >= 1."""
@@ -192,7 +194,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> LaurentPoly:
-        return cls(int(data["min_exp"]), tuple(data["coeffs"]))
+        return cls(data["min_exp"], data["coeffs"])
 
 
 def _half_step(half: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 from .characters import _member_general, _member_skew, _member_symmetric
 
@@ -35,13 +35,15 @@ class Family:
     ``n // rank_step + 1`` strata and the space transverse to stratum i is
     the same family with every size less ``rank_step * i``.
 
-    Enumeration route: with ``shift`` None the summands are the partitions
-    of ``_general_candidates(n, m, p)``, paired with their conjugates and
-    tested by ``member(w, m, p)``.  Otherwise ``shift`` is the Frobenius
-    shift of the summands, 1 for wedge(Sym^2 F) and 0 for wedge(wedge^2 F):
-    ``_durfee_candidates(n, rank_step * p, shift)`` gives pairs (r, alpha),
-    ``_frobenius_weight(shift, n, r, alpha)`` their partition (None when the
-    pair indexes no summand) and ``member(w, p)`` tests it.
+    Enumeration route: ``member(w, m, p)`` tests a raw length-n weight
+    against stratum p's character set, with m the space's row count (None,
+    and ignored, outside the general family).  With ``shift`` None the
+    summands are the partitions of ``_general_candidates(n, m, p)``, paired
+    with their conjugates.  Otherwise ``shift`` is the Frobenius shift of the
+    summands, 1 for wedge(Sym^2 F) and 0 for wedge(wedge^2 F):
+    ``_durfee_candidates(n, rank_step * p, shift)`` gives pairs (r, alpha)
+    and ``_frobenius_weight(shift, n, r, alpha)`` their partition (None when
+    the pair indexes no summand).
 
     Closed route: stratum p's generating function is the q-binomial
     ``gf_binomial(n, p)`` in ``q**gf_power``, shifted by the codimension
@@ -57,8 +59,7 @@ class Family:
     rank_step: int
     stratum_dim: Callable[[MatrixSpace, int], int]  # d_p, of the closure of stratum p
     shift: int | None  # Frobenius shift of the exterior-power summands, None for general
-    member: Callable[..., bool]
-    accepts: Callable[[MatrixSpace, int, tuple[int, ...]], bool]  # member, given the space
+    member: Callable[[tuple[int, ...], int | None, int], bool]
     gf_binomial: Callable[[int, int], tuple[int, int]]
     gf_power: int
     euler: Callable[[int, int, int], int]
@@ -70,7 +71,6 @@ FAMILIES: dict[str, Family] = {
         token="general", takes_m=True, min_n=1, rank_step=1,
         stratum_dim=lambda s, p: p * (s.m + s.n - p),
         shift=None, member=_member_general,
-        accepts=lambda s, p, w: _member_general(w, s.m, p),
         gf_binomial=lambda n, p: (n, p), gf_power=2,
         euler=lambda n, i, j: comb(n - i, j - i),
         micro=lambda n, j: 0,
@@ -79,7 +79,6 @@ FAMILIES: dict[str, Family] = {
         token="symm", takes_m=False, min_n=1, rank_step=1,
         stratum_dim=lambda s, p: p * (2 * s.n - p + 1) // 2,
         shift=1, member=_member_symmetric,
-        accepts=lambda s, p, w: _member_symmetric(w, p),
         gf_binomial=lambda n, p: (n // 2 + epsilon_symmetric(n, p), p // 2), gf_power=4,
         euler=lambda n, i, j: (
             0 if (n - i) % 2 == 0 and (n - j) % 2 == 1 else comb((n - i) // 2, (j - i) // 2)
@@ -91,7 +90,6 @@ FAMILIES: dict[str, Family] = {
         token="skew", takes_m=False, min_n=2, rank_step=2,
         stratum_dim=lambda s, p: p * (2 * s.n - 2 * p - 1),
         shift=0, member=_member_skew,
-        accepts=lambda s, p, w: _member_skew(w, p),
         gf_binomial=lambda n, p: (n // 2, p), gf_power=4,
         euler=lambda n, i, j: comb(n // 2 - i, j - i),
         micro=lambda n, j: 0,
@@ -175,10 +173,15 @@ class MatrixSpace:
         return f"{self.family}({sizes})"
 
 
-def spaces_up_to(family: str, bound: int) -> list[MatrixSpace]:
-    """Every space of the family with no size above bound, by n and then by m."""
+def spaces_up_to(family: str, bound: int) -> Iterator[MatrixSpace]:
+    """Every space of the family with no size above bound, by n and then by m, one at a time.
+
+    There are none when bound is below the family's ``min_n``.
+    """
     record = FAMILIES[family]
-    sizes = range(record.min_n, bound + 1)
-    if record.takes_m:
-        return [MatrixSpace(family, n, m) for n in sizes for m in range(n, bound + 1)]
-    return [MatrixSpace(family, n) for n in sizes]
+    for n in range(record.min_n, bound + 1):
+        if record.takes_m:
+            for m in range(n, bound + 1):
+                yield MatrixSpace(family, n, m)
+        else:
+            yield MatrixSpace(family, n)

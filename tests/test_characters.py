@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from detstrata import (
@@ -11,6 +13,7 @@ from detstrata import (
     member_symmetric,
     multiplicity,
     skew_exterior_partitions,
+    spaces,
     symmetric_exterior_partitions,
 )
 from detstrata.characters import _durfee_candidates, _general_candidates
@@ -256,6 +259,19 @@ class TestMultiplicity:
         assert multiplicity(MatrixSpace.general(2, 2), 2, W(0, 0)) == 1
         assert multiplicity(MatrixSpace.symmetric(2), 1, W(1, 1)) == 0
         assert multiplicity(MatrixSpace.skew(4), 2, W(0, 0, 0, 0)) == 1
+
+    def test_reads_the_predicate_from_the_record(self, monkeypatch):
+        members = [
+            (MatrixSpace.general(2, 2), 2, W(0, 0)),
+            (MatrixSpace.symmetric(2), 2, W(0, 0)),
+            (MatrixSpace.skew(4), 2, W(0, 0, 0, 0)),
+        ]
+        assert [multiplicity(*case) for case in members] == [1, 1, 1]
+        for family, record in list(spaces.FAMILIES.items()):
+            monkeypatch.setitem(
+                spaces.FAMILIES, family, dataclasses.replace(record, member=lambda *a: False)
+            )
+        assert [multiplicity(*case) for case in members] == [0, 0, 0]
 
     def test_rejects_mismatched_weight_length(self):
         with pytest.raises(ValueError):

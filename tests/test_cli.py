@@ -346,7 +346,7 @@ class TestVerify:
         def perturbed(space):
             rows = [list(row) for row in euler_closed(space).rows]
             rows[0][-1] += 1
-            return StrataMatrix.from_rows(rows)
+            return StrataMatrix(rows)
 
         monkeypatch.setattr(detstrata.obstructions, "euler_closed", perturbed)
         code, out, err = run(capsys, "verify", "--family", "symm", "--max", "3")
@@ -370,7 +370,7 @@ class TestVerify:
         def perturbed(space, real=detstrata.obstructions.chi_from_enumeration):
             rows = [list(row) for row in real(space).rows]
             rows[0][-1] += 2
-            return StrataMatrix.from_rows(rows)
+            return StrataMatrix(rows)
 
         monkeypatch.setattr(detstrata.obstructions, "chi_from_enumeration", perturbed)
         code, out, err = run(capsys, "verify", "--family", "skew", "--max", "4")

@@ -41,6 +41,11 @@ class TestStrataMatrix:
     def test_identity(self):
         assert StrataMatrix.identity(3).to_json() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    @pytest.mark.parametrize("rows", [((1.9,),), (("1",),), ((1, 2.0), (0, 1))])
+    def test_rejects_non_integers(self, rows):
+        with pytest.raises(TypeError):
+            StrataMatrix(rows)
+
 
 class TestStratumDimension:
     def test_examples(self):
@@ -210,7 +215,7 @@ class TestVerify:
         def perturbed(space, real=obstructions.euler_closed):
             rows = [list(row) for row in real(space).rows]
             rows[0][-1] += 1
-            return StrataMatrix.from_rows(rows)
+            return StrataMatrix(rows)
 
         monkeypatch.setattr(obstructions, "euler_closed", perturbed)
         space = MatrixSpace.symmetric(1)

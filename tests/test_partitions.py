@@ -25,6 +25,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3", 1), (2, 1.0)])
+    def test_rejects_non_integers(self, parts):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
     @pytest.mark.parametrize(
         "parts, expected",
         [
@@ -157,6 +162,11 @@ class TestIntegerWeight:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             IntegerWeight((0, 1))
+
+    @pytest.mark.parametrize("entries", [("3", 1.9), (3, 1.9), (2.0, -1)])
+    def test_rejects_non_integers(self, entries):
+        with pytest.raises(TypeError):
+            IntegerWeight(entries)
 
     @pytest.mark.parametrize(
         "entries, expected",

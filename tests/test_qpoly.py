@@ -157,6 +157,23 @@ class TestCanonicalForm:
     def test_from_terms(self):
         assert LaurentPoly.from_terms({2: 1, -1: 3, 0: 0}) == LaurentPoly(-1, (3, 0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LaurentPoly(0, (2.5, 1)),
+            lambda: LaurentPoly(1.0, (1,)),
+            lambda: LaurentPoly(0, ("3",)),
+            lambda: LaurentPoly.q_power(1).shift(1.5),
+            lambda: LaurentPoly.zero().shift(1.5),
+            lambda: LaurentPoly.from_json({"min_exp": "1", "coeffs": [1]}),
+            lambda: LaurentPoly.from_json({"min_exp": 0, "coeffs": [1.9]}),
+        ],
+        ids=["float coeff", "float min_exp", "str coeff", "float shift", "float shift of 0", "json str", "json float"],
+    )
+    def test_rejects_non_integers(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 
 class TestArithmetic:
     def test_add_examples(self):

@@ -2,11 +2,12 @@ import ast
 import os
 import re
 import sys
+from itertools import islice
 
 import pytest
 
 import detstrata
-from detstrata import MatrixSpace
+from detstrata import MatrixSpace, spaces
 
 
 class TestConstruction:
@@ -28,6 +29,20 @@ class TestConstruction:
         assert str(MatrixSpace.general(3, 2)) == "general(3,2)"
         assert str(MatrixSpace.symmetric(4)) == "symmetric(4)"
         assert str(MatrixSpace.skew(5)) == "skew(5)"
+
+
+def test_spaces_up_to_yields_each_space_as_it_is_built(monkeypatch):
+    """A huge bound gives its first spaces at once: no space is built before it is asked for."""
+    built = []
+
+    def counted(*args):
+        assert len(built) < 3, "a fourth space was built before the first three were taken"
+        built.append(MatrixSpace(*args))
+        return built[-1]
+
+    monkeypatch.setattr(spaces, "MatrixSpace", counted)
+    first = list(islice(spaces.spaces_up_to(detstrata.GENERAL, 10**9), 3))
+    assert first == built == [MatrixSpace.general(m, 1) for m in (1, 2, 3)]
 
 
 class TestDerivedQuantities:
