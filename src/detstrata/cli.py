@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache, partial
 
 from .characters import multiplicity
 from .derham import _closed_factors, inv_derham_gf_enum
-from .obstructions import StrataMatrix, chi_closed, euler_closed, micro_indices, signed_micro, verify
+from .obstructions import chi_rows, euler_rows, micro_rows, signed_micro_rows, verify
 from .partitions import IntegerWeight
 from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
 from .qpoly import _half_row, _render
@@ -40,43 +41,62 @@ def _json_head(space: MatrixSpace, kind: str) -> dict:
     return {"family": space.family, "params": space.params(), "kind": kind, "order": space.num_strata}
 
 
-def _print_matrix(matrix: StrataMatrix, space: MatrixSpace, kind: str, fmt: str) -> None:
+# The row generator of each strata matrix, by the name its JSON table carries.
+MATRIX_ROWS = {"euler": euler_rows, "chi": chi_rows, "micro": micro_rows, "signed_micro": signed_micro_rows}
+
+
+def _write_matrix(space: MatrixSpace, kind: str, fmt: str) -> None:
+    """Write a strata matrix to stdout one row at a time, as its rows are computed."""
+    write, rows = sys.stdout.write, MATRIX_ROWS[kind]
     if fmt == "json":
-        print(_dumps({**_json_head(space, kind), "rows": matrix.to_json()}))
+        # "rows" sorts after the head's keys, so the rows close the object.
+        write(_dumps(_json_head(space, kind))[:-1] + ', "rows": [')
+        for i, row in enumerate(rows(space)):
+            if i:
+                write(", ")
+            write(json.dumps(row))
+        write("]}\n")
     elif fmt == "csv":
-        print("stratum," + ",".join(str(j) for j in range(matrix.order)))
-        for i, row in enumerate(matrix.rows):
-            print(f"{i}," + ",".join(str(x) for x in row))
+        write("stratum," + ",".join(map(str, space.strata)) + "\n")
+        for i, row in enumerate(rows(space)):
+            write(f"{i},{','.join(map(str, row))}\n")
     else:
-        width = max(len(str(x)) for row in matrix.rows for x in row)
-        for row in matrix.rows:
-            print(" ".join(str(x).rjust(width) for x in row))
+        # Every cell is padded to the widest one; in a row that is its largest or,
+        # counting the sign, its smallest entry.
+        width = max(len(str(x)) for row in rows(space) for x in (max(row), min(row)))
+        cell = f"{{:>{width}}}".format
+        for row in rows(space):
+            write(" ".join(map(cell, row)) + "\n")
 
 
-def _print_ic(space: MatrixSpace, fmt: str) -> None:
-    factors = [_closed_factors(space, p) for p in space.strata]
+def _write_ic(space: MatrixSpace, fmt: str) -> None:
+    """Write the IC table to stdout one stratum at a time, from the closed form's half rows."""
+    write = sys.stdout.write
+    factors = (_closed_factors(space, p) for p in space.strata)
     if fmt == "json":
         # "polys" sorts after the head's keys, so the polys close the object.
-        head = _dumps(_json_head(space, "ic"))
+        write(_dumps(_json_head(space, "ic"))[:-1] + ', "polys": [')
         # Each distinct row [a, b] = [a, a - b] is rendered once, at the step of its power of q.
         rows: dict[tuple[int, int], str] = {}
-        texts = []
-        for a, b, power, shift in factors:
+        for p, (a, b, power, shift) in enumerate(factors):
             key = (a, min(b, a - b))
-            if key not in rows:
-                rows[key] = _render(*_half_row(a, b), power, 0, "json")
-            texts.append(f'{{"coeffs": {rows[key]}, "min_exp": {shift}}}')
-        print(head[:-1], ', "polys": [', ", ".join(texts), "]}", sep="")
+            text = rows.get(key)
+            if text is None:
+                text = rows[key] = _render(*_half_row(a, b), power, 0, "json")
+            write(', {"coeffs": ' if p else '{"coeffs": ')
+            write(text)
+            write(f', "min_exp": {shift}}}')
+        write("]}\n")
         return
     if fmt == "csv":
-        print("stratum,exponent,coefficient")
+        write("stratum,exponent,coefficient\n")
     for p, (a, b, power, shift) in enumerate(factors):
-        text = _render(*_half_row(a, b), power, shift, fmt)
         if fmt == "csv":
-            for line in text.split("\n"):
-                print(f"{p},{line}")
+            write(_render(*_half_row(a, b), power, shift, "csv", f"{p},"))
         else:
-            print(f"p={p}: {text}")
+            write(f"p={p}: ")
+            write(_render(*_half_row(a, b), power, shift, "text"))
+        write("\n")
 
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -84,17 +104,9 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"--signed only applies to --kind micro, not --kind {args.kind}")
     space = _build_space(parser, args)
     if args.kind == "ic":
-        _print_ic(space, args.format)
-        return 0
-    if args.kind == "euler":
-        matrix, kind = euler_closed(space), "euler"
-    elif args.kind == "chi":
-        matrix, kind = chi_closed(space), "chi"
-    elif args.signed:
-        matrix, kind = signed_micro(space), "signed_micro"
+        _write_ic(space, args.format)
     else:
-        matrix, kind = micro_indices(space), "micro"
-    _print_matrix(matrix, space, kind, args.format)
+        _write_matrix(space, "signed_micro" if args.signed else args.kind, args.format)
     return 0
 
 
@@ -114,7 +126,10 @@ def _cmd_derham(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         # str(inv_derham_gf_closed(space, p)): the IC factors with the shift raised by dim
         a, b, power, shift = _closed_factors(space, args.p)
         closed = _render(*_half_row(a, b), power, shift + space.dim, "text")
-        print(f"closed: {closed}")
+        write = sys.stdout.write
+        write("closed: ")
+        write(closed)
+        write("\n")
     # The printed texts are canonical, so they differ exactly when the two polynomials do.
     if args.check and enum != closed:
         print(f"mismatch: {space} p={args.p}: enum={enum}, closed={closed}", file=sys.stderr)
@@ -228,9 +243,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Exit status when the reader of stdout goes away early, as in ``detstrata table ... | head``:
+# 128 + SIGPIPE, what a shell reports for a program that the signal ends.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit status (0 ok, 1 mismatch, ``EXIT_BROKEN_PIPE``).
+
+    Usage errors exit 2 through argparse.  When stdout is a pipe whose reader
+    has closed it, the rest of the output goes to ``os.devnull`` and no
+    traceback is printed.
+    """
     args = _parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_BROKEN_PIPE  # no descriptor to redirect, so nothing flushes it later
+        # The interpreter flushes stdout again at exit; let that write land in devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ enumeration, which is the end-to-end consistency check of the package, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import repeat
 from operator import index
+from typing import Iterator
 
 from .derham import euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
+from .qpoly import _pascal_half
 from .spaces import MatrixSpace
 
 
@@ -74,41 +76,82 @@ def _signs(space: MatrixSpace) -> list[int]:
     return [(-1) ** stratum_dim(space, p) for p in space.strata]
 
 
+def _binomial_rows(space: MatrixSpace, row_cells, signs: list[int]) -> Iterator[tuple[int, ...]]:
+    """Rows of a closed matrix whose cells are signed plain binomials, one row at a time.
+
+    ``row_cells(i)`` gives, for j = i, ..., order - 1, the parameters (N, k)
+    of cell (i, j) = signs[j] * C(N, k), or None where the cell is a fixed
+    zero; cells below the diagonal are 0.  Each row looks up every Pascal
+    half row it needs once, not once per cell.
+    """
+    for i in range(space.num_strata):
+        halves: dict[int, list[int]] = {}
+        row = [0] * i
+        for sign, params in zip(signs[i:], row_cells(i)):
+            if params is None:
+                row.append(0)
+                continue
+            top, k = params
+            half = halves.get(top)
+            if half is None:
+                half = halves[top] = _pascal_half(top)
+            value = half[k if k + k <= top else top - k]
+            row.append(value if sign > 0 else -value)
+        yield tuple(row)
+
+
+def euler_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
+    """The rows of ``euler_closed(space)``, one at a time."""
+    order, n, cell = space.num_strata, space.n, space.record.euler
+    return _binomial_rows(
+        space, lambda i: map(cell, repeat(n), repeat(i), range(i, order)), [1] * order
+    )
+
+
+def chi_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
+    """The rows of ``chi_closed(space)``, one at a time."""
+    order, n, step, binomial = space.num_strata, space.n, space.record.rank_step, space.record.gf_binomial
+    return _binomial_rows(
+        space, lambda i: map(binomial, repeat(n - step * i), range(order - i)), _signs(space)
+    )
+
+
+def micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
+    """The rows of ``micro_indices(space)``, one at a time."""
+    order, n, above = space.num_strata, space.n, space.record.micro
+    for i in range(order):
+        yield tuple(1 if i == j else above(n, j) if j == i + 1 else 0 for j in range(order))
+
+
+def signed_micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
+    """The rows of ``signed_micro(space)``, one at a time."""
+    for sign, row in zip(_signs(space), micro_rows(space)):
+        yield tuple(sign * x for x in row)
+
+
 def micro_indices(space: MatrixSpace) -> StrataMatrix:
     """Unsigned microlocal indices m_{i,j} of the IC modules, from the family record."""
-    order, n, above = space.num_strata, space.n, space.record.micro
-    return StrataMatrix(
-        tuple(1 if i == j else above(n, j) if j == i + 1 else 0 for j in range(order))
-        for i in range(order)
-    )
+    return StrataMatrix(micro_rows(space))
 
 
 def signed_micro(space: MatrixSpace) -> StrataMatrix:
     """The matrix M with entries (-1)**d_i m_{i,j} (sign by row index)."""
-    rows = zip(_signs(space), micro_indices(space).rows)
-    return StrataMatrix(tuple(sign * x for x in row) for sign, row in rows)
+    return StrataMatrix(signed_micro_rows(space))
 
 
 def chi_closed(space: MatrixSpace) -> StrataMatrix:
     """Local IC Euler characteristics chi_{i,j} in closed form.
 
     chi_{i,j} is (-1)**d_j times the family's q-binomial for stratum j - i of
-    the space transverse to stratum i, at q = 1 (see ``spaces.Family``).
+    the space transverse to stratum i, at q = 1 (see ``spaces.Family``): a
+    plain binomial, read from the cached Pascal half rows.
     """
-    order, n, signs = space.num_strata, space.n, _signs(space)
-    step, binomial = space.record.rank_step, space.record.gf_binomial
-    return StrataMatrix(
-        (0,) * i + tuple(signs[j] * comb(*binomial(n - step * i, j - i)) for j in range(i, order))
-        for i in range(order)
-    )
+    return StrataMatrix(chi_rows(space))
 
 
 def euler_closed(space: MatrixSpace) -> StrataMatrix:
-    """Local Euler obstructions e_{i,j} in closed form, from the family record."""
-    order, n, cell = space.num_strata, space.n, space.record.euler
-    return StrataMatrix(
-        tuple(cell(n, i, j) if i <= j else 0 for j in range(order)) for i in range(order)
-    )
+    """Local Euler obstructions e_{i,j} in closed form: the family record's binomial cells."""
+    return StrataMatrix(euler_rows(space))
 
 
 def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:

@@ -10,7 +10,7 @@ rest of the package reads a space's record and never branches on the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from operator import index
 from typing import Callable, Iterator
 
 from .characters import _member_general, _member_skew, _member_symmetric
@@ -48,9 +48,10 @@ class Family:
     Closed route: stratum p's generating function is the q-binomial
     ``gf_binomial(n, p)`` in ``q**gf_power``, shifted by the codimension
     dim - d_p.  So chi_{i,j} is (-1)**d_j times the plain binomial of
-    stratum j - i of the space transverse to stratum i, ``euler(n, i, j)``
-    is e_{i,j} for i <= j, and ``micro(n, j)`` is the microlocal index
-    m_{j-1,j}; the other m_{i,j} are those of the identity.
+    stratum j - i of the space transverse to stratum i.  ``euler(n, i, j)``
+    gives e_{i,j} for i <= j as the parameters (N, k) of the binomial
+    C(N, k), or None where the cell is a fixed zero.  ``micro(n, j)`` is the
+    microlocal index m_{j-1,j}; the other m_{i,j} are those of the identity.
     """
 
     token: str  # the name on the command line
@@ -62,7 +63,7 @@ class Family:
     member: Callable[[tuple[int, ...], int | None, int], bool]
     gf_binomial: Callable[[int, int], tuple[int, int]]
     gf_power: int
-    euler: Callable[[int, int, int], int]
+    euler: Callable[[int, int, int], tuple[int, int] | None]
     micro: Callable[[int, int], int]
 
 
@@ -72,7 +73,7 @@ FAMILIES: dict[str, Family] = {
         stratum_dim=lambda s, p: p * (s.m + s.n - p),
         shift=None, member=_member_general,
         gf_binomial=lambda n, p: (n, p), gf_power=2,
-        euler=lambda n, i, j: comb(n - i, j - i),
+        euler=lambda n, i, j: (n - i, j - i),
         micro=lambda n, j: 0,
     ),
     SYMMETRIC: Family(
@@ -81,7 +82,7 @@ FAMILIES: dict[str, Family] = {
         shift=1, member=_member_symmetric,
         gf_binomial=lambda n, p: (n // 2 + epsilon_symmetric(n, p), p // 2), gf_power=4,
         euler=lambda n, i, j: (
-            0 if (n - i) % 2 == 0 and (n - j) % 2 == 1 else comb((n - i) // 2, (j - i) // 2)
+            None if (n - i) % 2 == 0 and (n - j) % 2 == 1 else ((n - i) // 2, (j - i) // 2)
         ),
         # the cycle of stratum j picks up the conormal variety of stratum j-1 iff n-j is odd
         micro=lambda n, j: (n - j) % 2,
@@ -91,17 +92,27 @@ FAMILIES: dict[str, Family] = {
         stratum_dim=lambda s, p: p * (2 * s.n - 2 * p - 1),
         shift=0, member=_member_skew,
         gf_binomial=lambda n, p: (n // 2, p), gf_power=4,
-        euler=lambda n, i, j: comb(n // 2 - i, j - i),
+        euler=lambda n, i, j: (n // 2 - i, j - i),
         micro=lambda n, j: 0,
     ),
 }
+
+
+def _size(name: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class MatrixSpace:
     """One of: m x n matrices (m >= n), symmetric n x n, or skew-symmetric n x n.
 
-    Strata are the loci of fixed rank, numbered as in ``Family``.
+    Strata are the loci of fixed rank, numbered as in ``Family``.  The sizes
+    go through ``operator.index`` and are stored as plain ints: a float, a
+    string or None raises TypeError naming the argument.  A bool is an int,
+    so it is accepted as 0 or 1 (``symmetric(True) == symmetric(1)``).
     """
 
     family: str
@@ -112,6 +123,10 @@ class MatrixSpace:
         record = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if record is None:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _size("n", self.n))
+        if self.m is not None and type(self.m) is not int:
+            object.__setattr__(self, "m", _size("m", self.m))
         if record.takes_m:
             if self.m is None or not self.m >= self.n >= record.min_n:
                 raise ValueError(

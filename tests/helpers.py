@@ -14,7 +14,11 @@ in ``test_plethysm`` and ``test_characters``), so this oracle checks the one
 pass: padding, conjugates, and the counting of each summand per stratum.
 The fourth is the renderers at the end: the ``json.dumps`` composition of the
 IC table and its text and CSV forms through ``ic_poincare`` and
-``LaurentPoly.__str__``, which the half-row writer must match byte for byte.
+``LaurentPoly.__str__``, which the half-row writer must match byte for byte,
+and the strata matrix tables cell by cell from ``math.comb`` and the paper's
+formulas, composed with ``json.dumps`` and ``str``, which the streamed row
+writer must match.  ``fresh_cache`` is no oracle: it gives one test an empty
+row cache of ``qpoly``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import json
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
+from math import comb
 from operator import sub
 
 from detstrata import (
     GENERAL,
+    SKEW,
     SYMMETRIC,
     LaurentPoly,
     MatrixSpace,
@@ -36,6 +42,7 @@ from detstrata import (
     member_skew,
     member_symmetric,
     ic_poincare,
+    qpoly,
     skew_exterior_partitions,
     symmetric_exterior_partitions,
 )
@@ -152,6 +159,14 @@ def dominant_box(n: int, bound: int = 6):
     return combinations_with_replacement(range(bound, -bound - 1, -1), n)
 
 
+def fresh_cache(monkeypatch, name: str):
+    """An empty cache with the rule and bound of ``qpoly.<name>``, in its place for one test."""
+    old = getattr(qpoly, name)
+    cache = qpoly._RowCache(old.first, old.step, old.size, old.cap)
+    monkeypatch.setattr(qpoly, name, cache)
+    return cache
+
+
 def full_product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """All coefficients of [a, b+1] from all those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
 
@@ -245,4 +260,75 @@ def reference_ic_table(space: MatrixSpace, fmt: str) -> str:
         lines += [f"{p},{e},{poly.coefficient(e)}" for p, poly in enumerate(polys) for e in poly.support()]
     else:
         lines = [f"p={p}: {poly}" for p, poly in enumerate(polys)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_stratum_dim(space: MatrixSpace, p: int) -> int:
+    """d_p, the dimension of the closure of stratum p (matrices of rank p, 2p for skew)."""
+    n = space.n
+    if space.family == GENERAL:
+        return p * (space.m + n - p)
+    if space.family == SYMMETRIC:
+        return p * (2 * n - p + 1) // 2
+    return p * (2 * n - 2 * p - 1)
+
+
+def reference_matrix_rows(space: MatrixSpace, kind: str) -> list[list[int]]:
+    """The closed strata matrix ``kind`` (euler, chi, micro, signed_micro), cell by cell.
+
+    Euler obstructions: C(n-i, j-i) (general), C(n/2-i, j-i) (skew), and for
+    symmetric 0 when n-i is even and n-j odd, else C((n-i)//2, (j-i)//2).
+    chi_{i,j}: (-1)**d_j times the q = 1 value of stratum j-i of the space
+    transverse to stratum i.  Microlocal indices: the identity, plus 1 at
+    (j-1, j) when the space is symmetric and n-j is odd; signed by (-1)**d_i.
+    """
+    n, order = space.n, space.num_strata
+    sign = [(-1) ** reference_stratum_dim(space, p) for p in range(order)]
+
+    def euler(i, j):
+        if space.family == GENERAL:
+            return comb(n - i, j - i)
+        if space.family == SKEW:
+            return comb(n // 2 - i, j - i)
+        return 0 if (n - i) % 2 == 0 and (n - j) % 2 == 1 else comb((n - i) // 2, (j - i) // 2)
+
+    def chi(i, j):
+        p = j - i
+        if space.family == GENERAL:
+            value = comb(n - i, p)
+        elif space.family == SKEW:
+            value = comb((n - 2 * i) // 2, p)
+        else:
+            small = n - i
+            value = comb(small // 2 + (p % 2 == 0 and small % 2 == 1), p // 2)
+        return sign[j] * value
+
+    def micro(i, j):
+        return int(i == j or (j == i + 1 and space.family == SYMMETRIC and (n - j) % 2 == 1))
+
+    def signed_micro(i, j):
+        return sign[i] * micro(i, j)
+
+    cell = {"euler": euler, "chi": chi, "micro": micro, "signed_micro": signed_micro}[kind]
+    return [[cell(i, j) if i <= j else 0 for j in range(order)] for i in range(order)]
+
+
+def reference_matrix_table(space: MatrixSpace, kind: str, fmt: str, rows=None) -> str:
+    """``table`` output for a strata matrix: ``json.dumps`` of the whole table, csv, or padded text."""
+    if rows is None:
+        rows = reference_matrix_rows(space, kind)
+    if fmt == "json":
+        return json.dumps({
+            "family": space.family,
+            "params": space.params(),
+            "kind": kind,
+            "order": space.num_strata,
+            "rows": rows,
+        }, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = ["stratum," + ",".join(str(j) for j in range(len(rows)))]
+        lines += [f"{i}," + ",".join(str(x) for x in row) for i, row in enumerate(rows)]
+    else:
+        width = max(len(str(x)) for row in rows for x in row)
+        lines = [" ".join(str(x).rjust(width) for x in row) for row in rows]
     return "\n".join(lines) + "\n"

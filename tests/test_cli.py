@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
-from helpers import reference_ic_json, reference_ic_table
+from helpers import (
+    fresh_cache,
+    reference_ic_json,
+    reference_ic_table,
+    reference_matrix_rows,
+    reference_matrix_table,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +25,14 @@ from detstrata import (
     StrataMatrix,
     euler_closed,
     gauss_binomial,
+    ic_poincare,
     inv_derham_gf_closed,
     inv_derham_gf_enum,
     qpoly,
 )
-from detstrata.cli import main
+from detstrata.cli import EXIT_BROKEN_PIPE, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(detstrata.__file__)))
 
 
 def run(capsys, *argv):
@@ -196,6 +206,157 @@ class TestClosedText:
         assert calls == []
         assert outs == expected
         assert expected[0].startswith("closed: q + ") and expected[1] == "closed: 1\n"
+
+
+STREAMED_SPACES = IC_JSON_SPACES + [
+    MatrixSpace.general(400, 400), MatrixSpace.symmetric(500), MatrixSpace.skew(500)
+]
+# The strata matrices by the kind their JSON carries, and the flags that ask for each.
+MATRIX_FLAGS = {"euler": ["--kind", "euler"], "chi": ["--kind", "chi"],
+                "micro": ["--kind", "micro"], "signed_micro": ["--kind", "micro", "--signed"]}
+
+
+def table_argv(space, kind, fmt):
+    flags = ["--kind", "ic"] if kind == "ic" else MATRIX_FLAGS[kind]
+    return ["table", *cli_args(space), *flags, "--format", fmt]
+
+
+def reference_table(space, kind, fmt):
+    if kind != "ic":
+        return reference_matrix_table(space, kind, fmt)
+    return reference_ic_json(space) + "\n" if fmt == "json" else reference_ic_table(space, fmt)
+
+
+class WriteSpy(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def largest_piece(space, kind, fmt):
+    """The longest single row or stratum text of a table: a row's or stratum's lines with
+    their newlines (text, csv), or one row's or polynomial's coefficient list (json)."""
+    if kind == "ic":
+        polys = [ic_poincare(space, p) for p in space.strata]
+        if fmt == "json":
+            return max(len(json.dumps(list(poly.coeffs))) for poly in polys)
+        if fmt == "text":
+            return max(len(f"p={p}: {poly}\n") for p, poly in enumerate(polys))
+        return max(len("".join(f"{p},{e},{poly.coefficient(e)}\n" for e in poly.support()))
+                   for p, poly in enumerate(polys))
+    if fmt == "json":
+        return max(len(json.dumps(row)) for row in reference_matrix_rows(space, kind))
+    return max(len(line) + 1 for line in reference_matrix_table(space, kind, fmt).splitlines())
+
+
+class TestStreamedTables:
+    """Every closed table is written to stdout piece by piece, byte-identical to the references."""
+
+    @pytest.mark.parametrize("space", STREAMED_SPACES, ids=str)
+    def test_matrix_tables_equal_the_comb_reference(self, capsys, space):
+        for kind in MATRIX_FLAGS:
+            rows = reference_matrix_rows(space, kind)
+            for fmt in ("text", "csv", "json"):
+                code, out, _ = run(capsys, *table_argv(space, kind, fmt))
+                assert code == 0
+                assert out == reference_matrix_table(space, kind, fmt, rows), (kind, fmt)
+
+    @pytest.mark.parametrize("space", [MatrixSpace.general(60, 50), MatrixSpace.symmetric(61),
+                                       MatrixSpace.skew(100)], ids=str)
+    def test_no_write_is_longer_than_one_row_or_stratum(self, space):
+        for kind in ["ic", *MATRIX_FLAGS]:
+            for fmt in ("text", "csv", "json"):
+                spy = WriteSpy()
+                with contextlib.redirect_stdout(spy):
+                    assert main(table_argv(space, kind, fmt)) == 0
+                assert spy.getvalue() == reference_table(space, kind, fmt), (kind, fmt)
+                assert max(spy.sizes) <= largest_piece(space, kind, fmt), (kind, fmt)
+
+    def test_closed_tables_need_no_math_comb(self, capsys, monkeypatch):
+        spaces = [MatrixSpace.general(9, 7), MatrixSpace.symmetric(12), MatrixSpace.symmetric(13),
+                  MatrixSpace.skew(13)]
+        cases = [(space, kind, fmt) for space in spaces for kind in ["ic", *MATRIX_FLAGS]
+                 for fmt in ("text", "csv", "json")]
+        expected = [reference_table(*case) for case in cases]
+
+        def no_comb(*args):
+            raise AssertionError(f"math.comb{args} called")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        for module in vars(detstrata).values():
+            if getattr(module, "__name__", "").startswith("detstrata."):
+                monkeypatch.setattr(module, "comb", no_comb, raising=False)
+        fresh_cache(monkeypatch, "_ROWS")
+        fresh_cache(monkeypatch, "_PASCAL")
+        outs = [run(capsys, *table_argv(*case)) for case in cases]
+        monkeypatch.undo()
+        assert outs == [(0, text, "") for text in expected]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_ic_json_memory_stays_bounded(self):
+        """general(200,200) writes 55 MB of IC JSON in under 120 MB (about 221 MB when the
+        whole output was built before printing).
+
+        The child reports VmHWM, the peak of its own address space: its ru_maxrss would
+        also count the test process, which it shares memory with until exec.
+        """
+        child = ("import sys\n"
+                 "from detstrata.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "sys.stdout.flush()\n"
+                 "with open('/proc/self/status') as status:\n"
+                 "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+                 "sys.stderr.write(f'{code} {peak}')\n")
+        argv = table_argv(MatrixSpace.general(200, 200), "ic", "json")
+        with open(os.devnull, "w") as devnull:
+            proc = subprocess.run([sys.executable, "-c", child, *argv], stdout=devnull,
+                                  stderr=subprocess.PIPE, text=True, timeout=300,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+        code, peak_kb = proc.stderr.split()
+        assert code == "0", proc.stderr
+        assert int(peak_kb) / 1024 < 120
+
+
+class TestBrokenPipe:
+    """A reader that stops early ends the command quietly with ``EXIT_BROKEN_PIPE``."""
+
+    @pytest.mark.parametrize("argv, first", [
+        # both tables are far longer than any pipe buffer, so the writer is still writing
+        (["--m", "300", "--n", "300", "--kind", "euler", "--format", "csv"], b"stratum,0,1,2,3,4,5,"),
+        (["--m", "200", "--n", "200", "--kind", "ic", "--format", "csv"],
+         b"stratum,exponent,coefficient\n"),
+    ])
+    def test_closing_the_read_end_prints_no_traceback(self, argv, first):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "detstrata.cli", "table", "--family", "general", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        try:
+            head = proc.stdout.readline() if first.endswith(b"\n") else proc.stdout.read(len(first))
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head == first
+        assert "Traceback" not in err and err == ""
+        assert code == EXIT_BROKEN_PIPE
+
+    def test_a_stream_without_a_descriptor_gets_the_exit_code(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(Closed()):
+            code = main(["table", "--family", "symm", "--n", "3", "--kind", "euler"])
+        assert code == EXIT_BROKEN_PIPE
 
 
 class TestDerham:

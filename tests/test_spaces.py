@@ -25,6 +25,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MatrixSpace("symmetric", 3, 2)  # stray m
 
+    @pytest.mark.parametrize("build, args, name", [
+        ("symmetric", (2.5,), "n"),
+        ("general", (3.0, 2), "m"),
+        ("general", (3, 2.0), "n"),
+        ("skew", (None,), "n"),
+        ("general", ("3", "2"), "n"),
+        ("__call__", ("general", 2, "3"), "m"),
+    ], ids=repr)
+    def test_non_integer_sizes_raise_type_error_naming_the_argument(self, build, args, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            getattr(MatrixSpace, build)(*args)
+
+    def test_bool_sizes_are_plain_ints(self):
+        space = MatrixSpace.symmetric(True)
+        assert space == MatrixSpace.symmetric(1)
+        assert type(space.n) is int and str(space) == "symmetric(1)"
+        assert MatrixSpace.general(True, True).params() == {"m": 1, "n": 1}
+
     def test_str(self):
         assert str(MatrixSpace.general(3, 2)) == "general(3,2)"
         assert str(MatrixSpace.symmetric(4)) == "symmetric(4)"
