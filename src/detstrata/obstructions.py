@@ -13,12 +13,11 @@ enumeration, which is the end-to-end consistency check of the package, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import index
+from operator import index, mul
 from typing import Iterator
 
 from .derham import euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
-from .qpoly import _pascal_half
+from .qpoly import _pascal_row
 from .spaces import MatrixSpace
 
 
@@ -76,44 +75,33 @@ def _signs(space: MatrixSpace) -> list[int]:
     return [(-1) ** stratum_dim(space, p) for p in space.strata]
 
 
-def _binomial_rows(space: MatrixSpace, row_cells, signs: list[int]) -> Iterator[tuple[int, ...]]:
-    """Rows of a closed matrix whose cells are signed plain binomials, one row at a time.
+def _binomial_rows(space: MatrixSpace, tops_of, signs: list[int] | None) -> Iterator[tuple[int, ...]]:
+    """Rows of a closed matrix whose cells are plain binomials, one row at a time.
 
-    ``row_cells(i)`` gives, for j = i, ..., order - 1, the parameters (N, k)
-    of cell (i, j) = signs[j] * C(N, k), or None where the cell is a fixed
-    zero; cells below the diagonal are 0.  Each row looks up every Pascal
-    half row it needs once, not once per cell.
+    Row i reads the tops ``tops_of(n')`` of the space transverse to stratum
+    i, of size n'.  With d tops, cell (i, j), j >= i, is
+    C(tops[p % d], p // d) for p = j - i, or 0 where that top is None, times
+    signs[j] when signs are given.  So strand r of the row is a prefix of
+    Pascal row tops[r].
     """
-    for i in range(space.num_strata):
-        halves: dict[int, list[int]] = {}
-        row = [0] * i
-        for sign, params in zip(signs[i:], row_cells(i)):
-            if params is None:
-                row.append(0)
-                continue
-            top, k = params
-            half = halves.get(top)
-            if half is None:
-                half = halves[top] = _pascal_half(top)
-            value = half[k if k + k <= top else top - k]
-            row.append(value if sign > 0 else -value)
-        yield tuple(row)
+    order, n, step = space.num_strata, space.n, space.record.rank_step
+    for i in range(order):
+        tops = tops_of(n - step * i)
+        d, row = len(tops), [0] * order
+        for r, top in enumerate(tops):
+            if top is not None:
+                row[i + r :: d] = _pascal_row(top)[: len(range(i + r, order, d))]
+        yield tuple(row) if signs is None else tuple(map(mul, signs, row))
 
 
 def euler_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
     """The rows of ``euler_closed(space)``, one at a time."""
-    order, n, cell = space.num_strata, space.n, space.record.euler
-    return _binomial_rows(
-        space, lambda i: map(cell, repeat(n), repeat(i), range(i, order)), [1] * order
-    )
+    return _binomial_rows(space, space.record.euler_tops, None)
 
 
 def chi_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
     """The rows of ``chi_closed(space)``, one at a time."""
-    order, n, step, binomial = space.num_strata, space.n, space.record.rank_step, space.record.gf_binomial
-    return _binomial_rows(
-        space, lambda i: map(binomial, repeat(n - step * i), range(order - i)), _signs(space)
-    )
+    return _binomial_rows(space, space.record.gf_tops, _signs(space))
 
 
 def micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
@@ -144,7 +132,7 @@ def chi_closed(space: MatrixSpace) -> StrataMatrix:
 
     chi_{i,j} is (-1)**d_j times the family's q-binomial for stratum j - i of
     the space transverse to stratum i, at q = 1 (see ``spaces.Family``): a
-    plain binomial, read from the cached Pascal half rows.
+    plain binomial, read from one Pascal row per strand of each row.
     """
     return StrataMatrix(chi_rows(space))
 

@@ -14,10 +14,6 @@ from typing import Mapping
 # to n = 293; the row a call just used is kept even when it alone is larger.
 _ROW_CACHE_COEFFS = 1 << 20
 
-# Most plain binomial cells the Pascal half-row cache holds at once.  The half
-# rows 0 .. n of a general(n, n) Euler or chi table fit up to n = 1022.
-_PASCAL_CACHE_CELLS = 1 << 18
-
 
 def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Drop zero coefficients from both ends; the zero polynomial becomes (0, ())."""
@@ -225,54 +221,39 @@ def _half_step(half: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 class _RowCache:
-    """Prefixes x(a, 0), ..., x(a, k) of keyed rows, least recently used first.
+    """Prefixes [a, 0], ..., [a, k] of q-binomial rows, least recently used first.
 
-    Row a starts at x(a, 0) = ``first`` and x(a, b + 1) = ``step(x(a, b), a,
-    b)``, so a row is built once and later only extended.  An entry x holds
-    ``size(x)`` units, and the cache is bounded by ``cap()`` units held (read
-    each time a row is built or extended, so a new bound takes effect at the
-    next build); the row used last is always kept.  One lock guards every
-    lookup and update.
+    Each q-binomial is a palindrome, so only the first ceil(L/2) of its L
+    coefficients are stored, and ``held`` counts those.  A row is built once
+    by the product step and later only extended.  The cache is bounded by the
+    number of coefficients it holds, and the row used last is always kept.
+    One lock guards every lookup and update.
     """
 
-    def __init__(self, first, step, size, cap) -> None:
-        self.first, self.step, self.size, self.cap = first, step, size, cap
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.rows: OrderedDict[int, list] = OrderedDict()
+        self.rows: OrderedDict[int, list[tuple[int, ...]]] = OrderedDict()
         self.held = 0
 
-    def get(self, a: int, b: int) -> list:
-        """Row a extended to at least x(a, b): the cache's own list, which callers must not change."""
+    def get(self, a: int, b: int) -> tuple[int, ...]:
+        """First half of the coefficients of [a, b], for 0 <= b <= a // 2."""
         with self._lock:
             row = self.rows.get(a)
             if row is None:
-                row = self.rows[a] = [self.first]
-                self.held += self.size(self.first)
+                row = self.rows[a] = [(1,)]
+                self.held += 1
             else:
                 self.rows.move_to_end(a)
-                if len(row) > b:
-                    return row
             while len(row) <= b:
-                row.append(self.step(row[-1], a, len(row) - 1))
-                self.held += self.size(row[-1])
-            cap = self.cap()
-            while self.held > cap and len(self.rows) > 1:
+                row.append(_half_step(row[-1], a, len(row) - 1))
+                self.held += len(row[-1])
+            while self.held > _ROW_CACHE_COEFFS and len(self.rows) > 1:
                 _, evicted = self.rows.popitem(last=False)
-                self.held -= sum(map(self.size, evicted))
-            return row
+                self.held -= sum(map(len, evicted))
+            return row[b]
 
 
-# Row a holds the first halves of [a, 0], ..., [a, b], each counting its coefficients.
-_ROWS = _RowCache((1,), _half_step, len, lambda: _ROW_CACHE_COEFFS)
-
-
-def _pascal_step(c: int, a: int, b: int) -> int:
-    """C(a, b + 1) from C(a, b): the product step of ``_half_step`` at q = 1, exact in integers."""
-    return c * (a - b) // (b + 1)
-
-
-# Row a holds C(a, 0), ..., C(a, a // 2), each counting one cell.
-_PASCAL = _RowCache(1, _pascal_step, lambda c: 1, lambda: _PASCAL_CACHE_CELLS)
+_ROWS = _RowCache()
 
 
 def _half_row(a: int, b: int) -> tuple[tuple[int, ...], int]:
@@ -282,15 +263,17 @@ def _half_row(a: int, b: int) -> tuple[tuple[int, ...], int]:
     palindrome: q^(b(a-b)) [a, b](1/q) = [a, b].
     """
     b = min(b, a - b)
-    return _ROWS.get(a, b)[b], b * (a - b) + 1
+    return _ROWS.get(a, b), b * (a - b) + 1
 
 
-def _pascal_half(a: int) -> list[int]:
-    """C(a, 0), ..., C(a, a // 2), for a >= 0; C(a, k) is entry min(k, a - k).
+def _pascal_row(a: int) -> list[int]:
+    """C(a, 0), ..., C(a, a), for a >= 0.
 
-    The cache's own list: callers read it and must not change it.
+    The product step of ``_half_step`` at q = 1, exact in integers, builds the
+    first half, and the row is its mirror.
     """
-    return _PASCAL.get(a, a // 2)
+    half = list(accumulate(range(a // 2), lambda c, b: c * (a - b) // (b + 1), initial=1))
+    return _mirror(half, a + 1)
 
 
 def _render(

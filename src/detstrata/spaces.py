@@ -45,13 +45,17 @@ class Family:
     and ``_frobenius_weight(shift, n, r, alpha)`` their partition (None when
     the pair indexes no summand).
 
-    Closed route: stratum p's generating function is the q-binomial
-    ``gf_binomial(n, p)`` in ``q**gf_power``, shifted by the codimension
-    dim - d_p.  So chi_{i,j} is (-1)**d_j times the plain binomial of
-    stratum j - i of the space transverse to stratum i.  ``euler(n, i, j)``
-    gives e_{i,j} for i <= j as the parameters (N, k) of the binomial
-    C(N, k), or None where the cell is a fixed zero.  ``micro(n, j)`` is the
-    microlocal index m_{j-1,j}; the other m_{i,j} are those of the identity.
+    Closed route: a space of size n has d = len(tops) strands of strata, with
+    ``tops = gf_tops(n)``, and stratum p's generating function is the
+    q-binomial [tops[p % d], p // d] (``gf_binomial(n, p)``) in
+    ``q**gf_power``, shifted by the codimension dim - d_p.  So chi_{i,j} is
+    (-1)**d_j times the plain binomial of stratum j - i of the space
+    transverse to stratum i.  In the same way e_{i,j} = e_{0,j-i} of that
+    transverse space, and e_{0,p} = C(tops[p % d], p // d) with
+    ``tops = euler_tops(n)``, or 0 where that top is None.  So every row of
+    either matrix interleaves d prefixes of Pascal rows.  ``micro(n, j)`` is
+    the microlocal index m_{j-1,j}; the other m_{i,j} are those of the
+    identity.
     """
 
     token: str  # the name on the command line
@@ -61,10 +65,15 @@ class Family:
     stratum_dim: Callable[[MatrixSpace, int], int]  # d_p, of the closure of stratum p
     shift: int | None  # Frobenius shift of the exterior-power summands, None for general
     member: Callable[[tuple[int, ...], int | None, int], bool]
-    gf_binomial: Callable[[int, int], tuple[int, int]]
+    gf_tops: Callable[[int], tuple[int, ...]]
     gf_power: int
-    euler: Callable[[int, int, int], tuple[int, int] | None]
+    euler_tops: Callable[[int], tuple[int | None, ...]]
     micro: Callable[[int, int], int]
+
+    def gf_binomial(self, n: int, p: int) -> tuple[int, int]:
+        """(a, b): stratum p's generating function is [a, b] in ``q**gf_power``, up to a shift."""
+        tops = self.gf_tops(n)
+        return tops[p % len(tops)], p // len(tops)
 
 
 FAMILIES: dict[str, Family] = {
@@ -72,18 +81,18 @@ FAMILIES: dict[str, Family] = {
         token="general", takes_m=True, min_n=1, rank_step=1,
         stratum_dim=lambda s, p: p * (s.m + s.n - p),
         shift=None, member=_member_general,
-        gf_binomial=lambda n, p: (n, p), gf_power=2,
-        euler=lambda n, i, j: (n - i, j - i),
+        gf_tops=lambda n: (n,), gf_power=2,
+        euler_tops=lambda n: (n,),
         micro=lambda n, j: 0,
     ),
     SYMMETRIC: Family(
         token="symm", takes_m=False, min_n=1, rank_step=1,
         stratum_dim=lambda s, p: p * (2 * s.n - p + 1) // 2,
         shift=1, member=_member_symmetric,
-        gf_binomial=lambda n, p: (n // 2 + epsilon_symmetric(n, p), p // 2), gf_power=4,
-        euler=lambda n, i, j: (
-            None if (n - i) % 2 == 0 and (n - j) % 2 == 1 else ((n - i) // 2, (j - i) // 2)
-        ),
+        # even strata read the top n // 2 + epsilon_symmetric(n, p), odd ones n // 2
+        gf_tops=lambda n: ((n + 1) // 2, n // 2), gf_power=4,
+        # for even n the odd strata have e_{0,p} = 0
+        euler_tops=lambda n: (n // 2, n // 2 if n % 2 else None),
         # the cycle of stratum j picks up the conormal variety of stratum j-1 iff n-j is odd
         micro=lambda n, j: (n - j) % 2,
     ),
@@ -91,8 +100,8 @@ FAMILIES: dict[str, Family] = {
         token="skew", takes_m=False, min_n=2, rank_step=2,
         stratum_dim=lambda s, p: p * (2 * s.n - 2 * p - 1),
         shift=0, member=_member_skew,
-        gf_binomial=lambda n, p: (n // 2, p), gf_power=4,
-        euler=lambda n, i, j: (n // 2 - i, j - i),
+        gf_tops=lambda n: (n // 2,), gf_power=4,
+        euler_tops=lambda n: (n // 2,),
         micro=lambda n, j: 0,
     ),
 }
@@ -123,9 +132,8 @@ class MatrixSpace:
         record = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if record is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _size("n", self.n))
-        if self.m is not None and type(self.m) is not int:
+        object.__setattr__(self, "n", _size("n", self.n))
+        if self.m is not None:
             object.__setattr__(self, "m", _size("m", self.m))
         if record.takes_m:
             if self.m is None or not self.m >= self.n >= record.min_n:

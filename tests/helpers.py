@@ -18,7 +18,7 @@ IC table and its text and CSV forms through ``ic_poincare`` and
 and the strata matrix tables cell by cell from ``math.comb`` and the paper's
 formulas, composed with ``json.dumps`` and ``str``, which the streamed row
 writer must match.  ``fresh_cache`` is no oracle: it gives one test an empty
-row cache of ``qpoly``.
+q-binomial row cache.
 """
 
 from __future__ import annotations
@@ -159,11 +159,10 @@ def dominant_box(n: int, bound: int = 6):
     return combinations_with_replacement(range(bound, -bound - 1, -1), n)
 
 
-def fresh_cache(monkeypatch, name: str):
-    """An empty cache with the rule and bound of ``qpoly.<name>``, in its place for one test."""
-    old = getattr(qpoly, name)
-    cache = qpoly._RowCache(old.first, old.step, old.size, old.cap)
-    monkeypatch.setattr(qpoly, name, cache)
+def fresh_cache(monkeypatch):
+    """An empty q-binomial row cache in the place of ``qpoly._ROWS``, for one test."""
+    cache = qpoly._RowCache()
+    monkeypatch.setattr(qpoly, "_ROWS", cache)
     return cache
 
 

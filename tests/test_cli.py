@@ -292,8 +292,7 @@ class TestStreamedTables:
         for module in vars(detstrata).values():
             if getattr(module, "__name__", "").startswith("detstrata."):
                 monkeypatch.setattr(module, "comb", no_comb, raising=False)
-        fresh_cache(monkeypatch, "_ROWS")
-        fresh_cache(monkeypatch, "_PASCAL")
+        fresh_cache(monkeypatch)
         outs = [run(capsys, *table_argv(*case)) for case in cases]
         monkeypatch.undo()
         assert outs == [(0, text, "") for text in expected]

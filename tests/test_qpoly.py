@@ -124,13 +124,7 @@ def prefix_size(a, k):
 @pytest.fixture
 def fresh_rows(monkeypatch):
     """An empty q-binomial row cache for this test only."""
-    return fresh_cache(monkeypatch, "_ROWS")
-
-
-@pytest.fixture
-def fresh_pascal(monkeypatch):
-    """An empty Pascal half-row cache for this test only."""
-    return fresh_cache(monkeypatch, "_PASCAL")
+    return fresh_cache(monkeypatch)
 
 
 def cache_held(rows):
@@ -138,13 +132,6 @@ def cache_held(rows):
     for a, row in rows.rows.items():
         assert [len(c) for c in row] == [half_size(a, b) for b in range(len(row))], a
     return sum(len(c) for row in rows.rows.values() for c in row)
-
-
-def pascal_held(rows):
-    """Cells the Pascal cache holds, after checking that each row is the half C(a, 0..a // 2)."""
-    for a, row in rows.rows.items():
-        assert len(row) == a // 2 + 1, a
-    return sum(len(row) for row in rows.rows.values())
 
 
 def rectangle_generating_function(rows, cols):
@@ -467,66 +454,9 @@ class TestRowCache:
         assert list(fresh_rows.rows)[-1] == 60
 
 
-class TestPascalRows:
-    """The cache of plain binomial half rows that the closed strata tables read."""
+class TestPascalRow:
+    """The plain binomial rows that the closed strata tables read."""
 
-    @pytest.mark.parametrize("cap", [None, 2000])
-    def test_matches_comb_in_shuffled_order(self, fresh_pascal, monkeypatch, cap):
-        if cap is not None:
-            monkeypatch.setattr(qpoly, "_PASCAL_CACHE_CELLS", cap)
-        pairs = [(a, k) for a in range(301) for k in range(a + 1)]
-        random.Random(2105).shuffle(pairs)
-        seen: set[int] = set()
-        events = {"build": 0, "evict": 0, "rebuild": 0}
-        for a, k in pairs:
-            rows_before = set(fresh_pascal.rows)
-            half = qpoly._pascal_half(a)
-            assert len(half) == a // 2 + 1
-            assert half[min(k, a - k)] == math.comb(a, k), (a, k)
-            if a not in rows_before:
-                events["rebuild" if a in seen else "build"] += 1
-            if rows_before - set(fresh_pascal.rows):
-                events["evict"] += 1
-            assert fresh_pascal.held <= max(cap or qpoly._PASCAL_CACHE_CELLS, a // 2 + 1)
-            seen.add(a)
-        assert events["build"] == 301
-        assert fresh_pascal.held == pascal_held(fresh_pascal)
-        if cap is None:
-            assert events["evict"] == events["rebuild"] == 0
-        else:
-            assert events["evict"] > 0 and events["rebuild"] > 0
-
-    def test_threads_agree_with_comb_under_eviction(self, fresh_pascal, monkeypatch):
-        cap = 500
-        monkeypatch.setattr(qpoly, "_PASCAL_CACHE_CELLS", cap)
-        pairs = [(a, k) for a in range(40, 121, 4) for k in range(a + 1)]
-        failures: list[str] = []
-        finished: list[int] = []
-
-        def worker(seed):
-            order = list(pairs)
-            random.Random(seed).shuffle(order)
-            try:
-                for a, k in order[:300]:
-                    if qpoly._pascal_half(a)[min(k, a - k)] != math.comb(a, k):
-                        failures.append(f"C({a}, {k}) differs")
-            except Exception as exc:  # reported by the main thread
-                failures.append(repr(exc))
-            finished.append(seed)
-
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        for t in threads:
-            assert not t.is_alive()
-        assert failures == []
-        assert sorted(finished) == list(range(8))
-        assert fresh_pascal.held == pascal_held(fresh_pascal)
-        assert fresh_pascal.held <= max(cap, 120 // 2 + 1)
+    def test_matches_comb(self):
+        for a in range(301):
+            assert qpoly._pascal_row(a) == [math.comb(a, k) for k in range(a + 1)], a
