@@ -235,7 +235,7 @@ def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[i
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
     """Multiplicity (0 or 1) of the irreducible with highest weight w in the stratum-p module."""
-    space.check_stratum(p)
+    p = space.check_stratum(p)
     if len(w) != space.n:
         raise ValueError(f"weight length {len(w)} does not match n={space.n}")
     return 1 if space.record.member(w.entries, space.m, p) else 0

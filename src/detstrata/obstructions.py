@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import index, mul
 from typing import Iterator
 
-from .derham import euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
+from .derham import _enum_all, euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
 from .qpoly import _pascal_row
 from .spaces import MatrixSpace
 
@@ -26,21 +26,22 @@ class StrataMatrix:
     """Square upper-triangular matrix of exact integers, indexed by strata.
 
     Built from any iterable of rows, each an iterable of ints; a float or a
-    string raises TypeError.  ``rows`` holds them as tuples.
+    string raises TypeError.  ``rows`` holds them as tuples.  A row of the
+    wrong length raises "matrix must be square" before any cell below the
+    diagonal is read; a nonzero cell there raises naming the first one in
+    row order.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(index, row)) for row in self.rows)
-        order = len(rows)
-        for row in rows:
-            if len(row) != order:
-                raise ValueError("matrix must be square")
-        for i in range(order):
-            for j in range(i):
-                if rows[i][j] != 0:
-                    raise ValueError(f"entry ({i},{j}) below the diagonal must be zero")
+        rows = tuple([tuple(map(index, row)) for row in self.rows])
+        if any(map(len(rows).__ne__, map(len, rows))):
+            raise ValueError("matrix must be square")
+        for i, row in enumerate(rows):
+            if any(row[:i]):
+                j = next(j for j, x in enumerate(row) if x)
+                raise ValueError(f"entry ({i},{j}) below the diagonal must be zero")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -57,12 +58,10 @@ class StrataMatrix:
     def __mul__(self, other: StrataMatrix) -> StrataMatrix:
         if self.order != other.order:
             raise ValueError("matrix orders differ")
-        n = self.order
+        # both factors are upper triangular, so row i of the product is zero left of column i
+        cols = tuple(zip(*other.rows))
         return StrataMatrix(
-            tuple(
-                tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(i, j + 1)) for j in range(n))
-                for i in range(n)
-            )
+            [0] * i + [sum(map(mul, row, col)) for col in cols[i:]] for i, row in enumerate(self.rows)
         )
 
     def to_json(self) -> list[list[int]]:
@@ -104,17 +103,25 @@ def chi_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
     return _binomial_rows(space, space.record.gf_tops, _signs(space))
 
 
+def _micro_rows(space: MatrixSpace, signs: list[int]) -> Iterator[tuple[int, ...]]:
+    """Rows of the microlocal indices, row i times signs[i]: only cells (i, i) and (i, i+1) are set."""
+    order, n, above = space.num_strata, space.n, space.record.micro
+    for i, sign in enumerate(signs):
+        row = [0] * order
+        row[i] = sign
+        if i + 1 < order:
+            row[i + 1] = sign * above(n, i + 1)
+        yield tuple(row)
+
+
 def micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
     """The rows of ``micro_indices(space)``, one at a time."""
-    order, n, above = space.num_strata, space.n, space.record.micro
-    for i in range(order):
-        yield tuple(1 if i == j else above(n, j) if j == i + 1 else 0 for j in range(order))
+    return _micro_rows(space, [1] * space.num_strata)
 
 
 def signed_micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
     """The rows of ``signed_micro(space)``, one at a time."""
-    for sign, row in zip(_signs(space), micro_rows(space)):
-        yield tuple(sign * x for x in row)
+    return _micro_rows(space, _signs(space))
 
 
 def micro_indices(space: MatrixSpace) -> StrataMatrix:
@@ -155,10 +162,10 @@ def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:
     # the slice transverse to the top stratum is a point, so chi'_{0,0} = 1
     rows[-1][-1] = signs[-1]
     for i in range(order - 1):
+        # the reduced space has order - i strata, all enumerated by one cached pass
         smaller = space.reduced(i)
-        for j in range(i, order):
-            gf = inv_derham_gf_enum(smaller, j - i)
-            rows[i][j] = signs[i] * euler_char_at_origin(gf, smaller.dim)
+        sign, dim = signs[i], smaller.dim
+        rows[i][i:] = [sign * euler_char_at_origin(gf, dim) for gf in _enum_all(smaller)]
     return StrataMatrix(rows)
 
 
@@ -170,17 +177,19 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
     """
     if chi.order != signed.order:
         raise ValueError("matrix orders differ")
-    order = chi.order
+    order, signed_rows = chi.order, signed.rows
     for j in range(order):
-        if signed.entry(j, j) not in (1, -1):
-            raise ValueError(f"diagonal entry ({j},{j}) = {signed.entry(j, j)} is not +-1")
-    rows = [[0] * order for _ in range(order)]
-    for i in range(order):
+        if signed_rows[j][j] not in (1, -1):
+            raise ValueError(f"diagonal entry ({j},{j}) = {signed_rows[j][j]} is not +-1")
+    rows = []
+    for i, chi_row in enumerate(chi.rows):
+        row = [0] * order
         for j in range(i, order):
-            acc = chi.entry(i, j)
+            acc = chi_row[j]
             for k in range(i, j):
-                acc -= rows[i][k] * signed.entry(k, j)
-            rows[i][j] = acc * signed.entry(j, j)  # diagonal is +-1, so * is 1/
+                acc -= row[k] * signed_rows[k][j]
+            row[j] = acc * signed_rows[j][j]  # diagonal is +-1, so * is 1/
+        rows.append(row)
     return StrataMatrix(rows)
 
 

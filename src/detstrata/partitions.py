@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import ge, index
 from typing import Iterable, Iterator
 
 
@@ -155,7 +155,8 @@ def _in_box(parts: tuple[int, ...], rows: int, cols: int) -> bool:
     """
     if cols < 0 or len(parts) > rows:
         return False
-    return all(0 < b <= a for a, b in zip((cols,) + parts, parts))
+    # each part at most the one before it (the first at most cols), and the last positive
+    return all(map(ge, (cols,) + parts, parts)) and (not parts or parts[-1] > 0)
 
 
 def _doubled_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:

@@ -174,17 +174,29 @@ class MatrixSpace:
     def strata(self) -> range:
         return range(self.num_strata)
 
-    def check_stratum(self, p: int) -> None:
+    def check_stratum(self, p: int) -> int:
+        """p as a plain int, when it numbers a stratum of this space.
+
+        p goes through ``operator.index`` like the sizes: a float or a string
+        raises TypeError, a bool reads as 0 or 1.  Out of range is ValueError.
+        """
+        p = _size("p", p)
         if not 0 <= p < self.num_strata:
             raise ValueError(f"stratum {p} out of range for {self}: 0..{self.num_strata - 1}")
+        return p
 
     def stratum_dim(self, p: int) -> int:
         """Dimension d_p of the closure of stratum p."""
-        self.check_stratum(p)
-        return self.record.stratum_dim(self, p)
+        return self.record.stratum_dim(self, self.check_stratum(p))
 
     def reduced(self, i: int) -> MatrixSpace:
-        """The smaller space seen transverse to stratum i (valid for 0 <= i < top stratum)."""
+        """The smaller space seen transverse to stratum i, for 0 <= i < the top stratum.
+
+        The slice transverse to the top stratum is a point, which is no space.
+        """
+        i = _size("i", i)
+        if not 0 <= i < self.num_strata - 1:
+            raise ValueError(f"{self} has reduced spaces for 0 <= i <= {self.num_strata - 2}, got i={i}")
         k = self.record.rank_step * i
         return MatrixSpace(self.family, self.n - k, None if self.m is None else self.m - k)
 

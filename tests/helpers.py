@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities from first principles (Weyl dimension
 products, semistandard tableaux, brute-force symmetric powers) so the library
-is checked against code that shares none of its internals.  Four exceptions
+is checked against code that shares none of its internals.  Five exceptions
 check a fast route against the slow one it replaced: the Pascal recursion for
 q-binomials, which uses ``LaurentPoly`` addition and shifts to check the
 product-step route of ``gauss_binomial``; the full-row product step, which
@@ -17,7 +17,10 @@ IC table and its text and CSV forms through ``ic_poincare`` and
 ``LaurentPoly.__str__``, which the half-row writer must match byte for byte,
 and the strata matrix tables cell by cell from ``math.comb`` and the paper's
 formulas, composed with ``json.dumps`` and ``str``, which the streamed row
-writer must match.  ``fresh_cache`` is no oracle: it gives one test an empty
+writer must match.  The fifth is the closed generating functions, rebuilt by
+the chain that ``inv_derham_gf_closed`` and ``ic_poincare`` replaced: the
+public ``gauss_binomial``, ``substitute_power`` and ``shift``, with
+parameters from the paper's formulas.  ``fresh_cache`` is no oracle: it gives one test an empty
 q-binomial row cache.
 """
 
@@ -37,6 +40,7 @@ from detstrata import (
     LaurentPoly,
     MatrixSpace,
     cauchy_exterior,
+    gauss_binomial,
     lambda_extension,
     member_general,
     member_skew,
@@ -270,6 +274,35 @@ def reference_stratum_dim(space: MatrixSpace, p: int) -> int:
     if space.family == SYMMETRIC:
         return p * (2 * n - p + 1) // 2
     return p * (2 * n - 2 * p - 1)
+
+
+def reference_closed_gf(space: MatrixSpace, p: int, offset: int) -> LaurentPoly:
+    """Stratum p's IC Poincare polynomial times q**offset, by the chain the closed expanders replaced.
+
+    ``gauss_binomial(a, b).substitute_power(power).shift(offset - d_p)`` with
+    the paper's parameters: [n, p] in q**2 (general), [n // 2 + eps, p // 2]
+    in q**4 with eps = 1 iff p is even and n odd (symmetric), [n // 2, p] in
+    q**4 (skew).
+    """
+    n = space.n
+    if space.family == GENERAL:
+        a, b, power = n, p, 2
+    elif space.family == SYMMETRIC:
+        a, b, power = n // 2 + (p % 2 == 0 and n % 2 == 1), p // 2, 4
+    else:
+        a, b, power = n // 2, p, 4
+    return gauss_binomial(a, b).substitute_power(power).shift(offset - reference_stratum_dim(space, p))
+
+
+def reference_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two square matrices given as row lists, by the triple loop over (i, j, k)."""
+    order = len(a)
+    out = [[0] * order for _ in range(order)]
+    for i in range(order):
+        for j in range(order):
+            for k in range(order):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def reference_matrix_rows(space: MatrixSpace, kind: str) -> list[list[int]]:

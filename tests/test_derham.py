@@ -1,15 +1,18 @@
 from math import comb
 
 import pytest
+from helpers import reference_closed_gf
 
 from detstrata import (
     LaurentPoly,
     MatrixSpace,
+    derham,
     epsilon_symmetric,
     euler_char_at_origin,
     ic_poincare,
     inv_derham_gf_closed,
     inv_derham_gf_enum,
+    qpoly,
 )
 
 SAMPLE_SPACES = [
@@ -139,3 +142,36 @@ class TestEulerCharAtOrigin:
             for p in sp.strata:
                 enum, closed = inv_derham_gf_enum(sp, p), inv_derham_gf_closed(sp, p)
                 assert euler_char_at_origin(enum, sp.dim) == euler_char_at_origin(closed, sp.dim)
+
+
+CLOSED_SPACES = [MatrixSpace.general(30, 30), MatrixSpace.symmetric(41), MatrixSpace.skew(41)]
+
+
+class TestClosedExpanders:
+    """inv_derham_gf_closed and ic_poincare build one run from the cached half row."""
+
+    @pytest.mark.parametrize("space", CLOSED_SPACES, ids=str)
+    def test_equal_the_reference_chain_on_every_stratum(self, space):
+        for p in space.strata:
+            assert inv_derham_gf_closed(space, p) == reference_closed_gf(space, p, space.dim), p
+            assert ic_poincare(space, p) == reference_closed_gf(space, p, 0), p
+
+    def test_neither_substitutes_nor_builds_a_q_binomial(self, monkeypatch):
+        cases = [(space, p) for space in CLOSED_SPACES for p in space.strata]
+        expected = [(reference_closed_gf(s, p, s.dim), reference_closed_gf(s, p, 0)) for s, p in cases]
+        calls = []
+
+        def spy(name, real):
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+            return record
+
+        substitute = spy("substitute_power", LaurentPoly.substitute_power)
+        monkeypatch.setattr(LaurentPoly, "substitute_power", substitute)
+        for module in (qpoly, derham):
+            monkeypatch.setattr(module, "gauss_binomial", spy("gauss_binomial", qpoly.gauss_binomial))
+        got = [(inv_derham_gf_closed(s, p), ic_poincare(s, p)) for s, p in cases]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == expected

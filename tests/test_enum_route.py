@@ -85,6 +85,13 @@ class TestSpaceCache:
         # every reduced space general(m-i, n-i) is itself in the sweep
         assert fresh_enum_cache.cache_info().misses == len(spaces)
 
+    def test_a_bad_stratum_is_refused_before_any_pass(self, fresh_enum_cache):
+        space = MatrixSpace.general(6, 6)
+        for p, error in ((7, ValueError), (-1, ValueError), (1.0, TypeError)):
+            with pytest.raises(error):
+                inv_derham_gf_enum(space, p)
+        assert fresh_enum_cache.cache_info().misses == 0
+
     def test_sweep_beyond_the_cap_stays_within_it(self, fresh_enum_cache):
         cap = derham._ENUM_CACHE_SPACES
         assert cap >= 64

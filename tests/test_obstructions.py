@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import reference_product
 
 from detstrata import (
     MatrixSpace,
@@ -37,6 +40,32 @@ class TestStrataMatrix:
         assert a * b == StrataMatrix(((1, 5), (0, 3)))
         with pytest.raises(ValueError):
             a * StrataMatrix.identity(3)
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_product_matches_the_triple_loop(self, order):
+        rng = random.Random(order)
+        values = [0, 0, 1, -1, 7, -12, 2**64 + 3, -(2**70) + 1, 3**50]
+        for _ in range(5):
+            a, b = (
+                [[rng.choice(values) if j >= i else 0 for j in range(order)] for i in range(order)]
+                for _ in range(2)
+            )
+            assert (StrataMatrix(a) * StrataMatrix(b)).to_json() == reference_product(a, b)
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_lower_entry_error_names_the_first_cell_in_row_order(self, order):
+        lower = [(i, j) for i in range(order) for j in range(i)]
+        for k, (i, j) in enumerate(lower):
+            rows = [[1] * order for _ in range(order)]
+            for r, c in lower[:k]:
+                rows[r][c] = 0
+            with pytest.raises(ValueError, match=rf"^entry \({i},{j}\) below the diagonal must be zero$"):
+                StrataMatrix(rows)
+
+    @pytest.mark.parametrize("rows", [((1, 0, 0), (1, 1), (0, 0, 1)), ((1, 0, 0), (1, 1, 0), (0, 1))])
+    def test_non_square_wins_over_a_lower_entry(self, rows):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            StrataMatrix(rows)
 
     def test_identity(self):
         assert StrataMatrix.identity(3).to_json() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -140,6 +140,9 @@ class TestRawBoxHelpers:
     def test_in_box_rejects_non_partitions_and_negative_sides(self):
         assert not _in_box((1, 2), 3, 3)
         assert not _in_box((2, 0), 3, 3)
+        assert not _in_box((2, 0, 1), 3, 3)
+        assert not _in_box((-1,), 3, 3)
+        assert not _in_box((4, 1), 3, 3)
         assert not _in_box((), 2, -1)
         assert not _in_box((), -1, 2)
         assert _in_box((), 0, 0)

@@ -115,6 +115,49 @@ def test_reduced_spaces_are_the_transverse_slices():
             assert reduced.num_strata == space.num_strata - i, (str(space), i)
 
 
+@pytest.mark.parametrize(
+    "space", [MatrixSpace.general(3, 3), MatrixSpace.symmetric(4), MatrixSpace.skew(5)], ids=str
+)
+def test_reduced_rejects_the_top_stratum_and_beyond(space):
+    top = space.num_strata - 1
+    for i in (top, top + 1, -1):
+        message = f"{space} has reduced spaces for 0 <= i <= {top - 1}, got i={i}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            space.reduced(i)
+
+
+STRATUM_CALLS = {
+    "check_stratum": lambda space, p: space.check_stratum(p),
+    "stratum_dim": lambda space, p: space.stratum_dim(p),
+    "inv_derham_gf_enum": detstrata.inv_derham_gf_enum,
+    "inv_derham_gf_closed": detstrata.inv_derham_gf_closed,
+    "ic_poincare": detstrata.ic_poincare,
+    "multiplicity": lambda space, p: detstrata.multiplicity(space, p, detstrata.IntegerWeight((2, 1))),
+}
+
+
+class TestStratumIndex:
+    """A stratum index goes through operator.index, like the sizes."""
+
+    SPACE = MatrixSpace.general(3, 2)
+
+    @pytest.mark.parametrize("p", [1.0, "1", None, 0.5], ids=repr)
+    @pytest.mark.parametrize("call", STRATUM_CALLS, ids=str)
+    def test_non_integers_raise_type_error_naming_p(self, call, p):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'p must be an integer, got {p!r}')}$"):
+            STRATUM_CALLS[call](self.SPACE, p)
+
+    @pytest.mark.parametrize("call", STRATUM_CALLS, ids=str)
+    def test_a_bool_reads_as_zero_or_one(self, call):
+        for flag in (False, True):
+            assert STRATUM_CALLS[call](self.SPACE, flag) == STRATUM_CALLS[call](self.SPACE, int(flag))
+
+    def test_check_stratum_returns_a_plain_int(self):
+        assert type(self.SPACE.check_stratum(True)) is int
+        with pytest.raises(ValueError, match="out of range"):
+            self.SPACE.check_stratum(3)
+
+
 def test_family_knowledge_lives_only_in_the_records():
     """No module but spaces.py compares a family name: the records carry the per-family data."""
     package = os.path.dirname(detstrata.__file__)
