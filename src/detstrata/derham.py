@@ -14,11 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import _durfee_candidates, _extend, _general_candidates
-from .partitions import _conjugate, _in_box
+from .partitions import _conjugate, _in_box, _size
 from .plethysm import _frobenius_weight
-# The closed forms read the cached half rows, not gauss_binomial; the name stays
-# here because the tests that keep the enumeration route independent patch it.
-from .qpoly import LaurentPoly, _half_row, _mirror, gauss_binomial  # noqa: F401
+from .qpoly import LaurentPoly, _half_row, _mirror
 from .spaces import MatrixSpace
 
 # Spaces whose enumerated generating functions stay cached.  A `verify --max 6`
@@ -121,6 +119,7 @@ def ic_poincare(space: MatrixSpace, p: int) -> LaurentPoly:
 def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:
     """Local IC Euler characteristic at the origin of a stratum closure in a space of dimension dim.
 
-    Equals (-1)**dim times the stratum's generating function gf evaluated at q = -1.
+    Equals (-1)**dim times the stratum's generating function gf evaluated at q = -1.  dim goes
+    through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
     """
-    return (-1) ** dim * gf.evaluate(-1)
+    return (-1) ** _size("dim", dim) * gf.evaluate(-1)

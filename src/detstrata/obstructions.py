@@ -7,7 +7,7 @@ entries (-1)**d_i m_{i,j}.  Kashiwara's local index formula says X = E * M,
 so E is recovered from X by an exact triangular solve.  The chi matrix is
 available both in closed form and rebuilt from scratch by partition
 enumeration, which is the end-to-end consistency check of the package, and
-``verify`` runs every two-route check of one space.
+``verify`` runs the two-route checks of one space, listed once in ``CHECKS``.
 """
 
 from __future__ import annotations
@@ -193,60 +193,77 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
     return StrataMatrix(rows)
 
 
+def _first_cell(lhs: StrataMatrix, rhs: StrataMatrix) -> tuple | None:
+    """((i, j), lhs cell, rhs cell) at the first differing cell in row order, or None if lhs == rhs.
+
+    The matrices have one order.  Equal ones cost one compare of the row tuples.
+    """
+    if lhs == rhs:
+        return None
+    for i, (left, right) in enumerate(zip(lhs.rows, rhs.rows)):
+        if left != right:
+            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            return (i, j), left[j], right[j]
+
+
+def _derham(space: MatrixSpace) -> tuple | None:
+    """Each stratum's enumerated generating function against its closed form, in stratum order."""
+    for p in space.strata:
+        enum, closed = inv_derham_gf_enum(space, p), inv_derham_gf_closed(space, p)
+        if enum != closed:
+            return (p,), enum, closed
+    return None
+
+
+def _index_identity(space: MatrixSpace) -> tuple | None:
+    """Kashiwara's local index formula chi = E * M on the closed matrices."""
+    return _first_cell(chi_closed(space), euler_closed(space) * signed_micro(space))
+
+
+def _euler(space: MatrixSpace) -> tuple | None:
+    """E solved from the enumerated chi against the closed E."""
+    return _first_cell(solve_euler(chi_from_enumeration(space), signed_micro(space)), euler_closed(space))
+
+
+# The two-route checks of ``verify``, in the order it runs them: each is
+# (name, (first, second), check), where ``check(space)`` returns None or
+# (at, first value, second value), and first and second name those values.
+# The checks read the routes from this module's globals at call time.
+CHECKS = (
+    ("derham", ("enum", "closed"), _derham),
+    ("index identity", ("chi", "euler*signed"), _index_identity),
+    ("euler", ("enumerated", "closed"), _euler),
+)
+
+
 def verify_index_identity(space: MatrixSpace) -> bool:
     """Whether chi = euler * signed_micro holds entrywise for the closed forms."""
-    return chi_closed(space) == euler_closed(space) * signed_micro(space)
-
-
-# The names of the two values that each check of ``verify`` compares, in order.
-_COMPARED = {"derham": ("enum", "closed"), "index identity": ("chi", "euler*signed"),
-             "euler": ("enumerated", "closed")}
+    return _index_identity(space) is None
 
 
 @dataclass(frozen=True)
 class Mismatch:
     """The first disagreement ``verify`` found: the check, where, and the two values.
 
-    ``at`` is the stratum (p,) of a "derham" check, else the matrix cell (i, j).
+    ``at`` is where the check found it: a stratum (p,) or a matrix cell (i, j).
     """
 
     space: MatrixSpace
-    check: str  # "derham", "index identity" or "euler"
+    check: str  # a name in CHECKS
     at: tuple[int, ...]
     first: object
     second: object
 
     def __str__(self) -> str:
         place = f"p={self.at[0]}" if len(self.at) == 1 else f"cell ({self.at[0]},{self.at[1]})"
-        first, second = _COMPARED[self.check]
+        first, second = {name: compared for name, compared, _ in CHECKS}[self.check]
         return f"{self.space} {self.check} {place}: {first}={self.first}, {second}={self.second}"
 
 
-def _first_mismatch(
-    space: MatrixSpace, check: str, lhs: StrataMatrix, rhs: StrataMatrix
-) -> Mismatch | None:
-    """The first cell, row by row, where two matrices of one order differ."""
-    for i in range(lhs.order):
-        for j in range(lhs.order):
-            if lhs.entry(i, j) != rhs.entry(i, j):
-                return Mismatch(space, check, (i, j), lhs.entry(i, j), rhs.entry(i, j))
-    return None
-
-
 def verify(space: MatrixSpace) -> Mismatch | None:
-    """Run the two-route checks of one space; return the first disagreement, or None.
-
-    In order: each stratum's enumerated generating function against its
-    closed form ("derham"), chi = E * M on the closed matrices ("index
-    identity"), and E solved from the enumerated chi against the closed E
-    ("euler").
-    """
-    for p in space.strata:
-        enum, closed = inv_derham_gf_enum(space, p), inv_derham_gf_closed(space, p)
-        if enum != closed:
-            return Mismatch(space, "derham", (p,), enum, closed)
-    signed, expected = signed_micro(space), euler_closed(space)
-    found = _first_mismatch(space, "index identity", chi_closed(space), expected * signed)
-    if found is not None:
-        return found
-    return _first_mismatch(space, "euler", solve_euler(chi_from_enumeration(space), signed), expected)
+    """Run the checks of ``CHECKS`` on one space in order; return the first disagreement, or None."""
+    for name, _, check in CHECKS:
+        found = check(space)
+        if found is not None:
+            return Mismatch(space, name, *found)
+    return None

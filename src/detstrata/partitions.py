@@ -7,6 +7,17 @@ from operator import ge, index
 from typing import Iterable, Iterator
 
 
+def _size(name: str, value) -> int:
+    """value as a plain int through ``operator.index``; a TypeError names the argument.
+
+    A float, a string or None raises; a bool reads as 0 or 1.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A weakly decreasing sequence of nonnegative integers, trailing zeros trimmed.

@@ -11,14 +11,19 @@ Durfee square.
 
 from __future__ import annotations
 
-from .partitions import Partition, _box_partitions, _conjugate, _in_box, enumerate_in_rectangle
+from .partitions import Partition, _box_partitions, _conjugate, _in_box, _size, enumerate_in_rectangle
 from .spaces import MatrixSpace
 
 
-def _check_degree(space: MatrixSpace, i: int) -> None:
-    """The exterior powers of a space run from degree 0 to its dimension."""
+def _check_degree(space: MatrixSpace, i: int) -> int:
+    """i as a plain int, when it is a degree of the space's exterior powers: 0 to its dimension.
+
+    i goes through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
+    """
+    i = _size("i", i)
     if not 0 <= i <= space.dim:
         raise ValueError(f"require 0 <= i <= {space.dim}, the dimension of {space}, got i={i}")
+    return i
 
 
 def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
@@ -29,7 +34,7 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     n parts and mu' at most m parts, i.e. mu fits in the n x m box.
     Returned in decreasing lexicographic order.
     """
-    _check_degree(MatrixSpace.general(m, n), i)
+    i = _check_degree(MatrixSpace.general(m, n), i)
     return enumerate_in_rectangle(n, m, i)
 
 
@@ -66,7 +71,7 @@ def _exterior_weights(shift: int, n: int, i: int) -> list[tuple[int, ...]]:
 
 def _frobenius_exterior(space: MatrixSpace, i: int) -> list[Partition]:
     """The degree-i summands of a symmetric or skew space, at its record's shift, decreasing."""
-    _check_degree(space, i)
+    i = _check_degree(space, i)
     weights = _exterior_weights(space.record.shift, space.n, i)
     return sorted((Partition(w) for w in weights), reverse=True)
 

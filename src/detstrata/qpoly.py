@@ -9,6 +9,8 @@ from itertools import accumulate, repeat
 from operator import add, index, sub
 from typing import Mapping
 
+from .partitions import _size
+
 # Most q-binomial coefficients the row cache holds at once, counting stored
 # halves.  The half rows [n, 0] .. [n, n // 2] of a general(n, n) table fit up
 # to n = 293; the row a call just used is kept even when it alone is larger.
@@ -309,8 +311,10 @@ def gauss_binomial(a: int, b: int) -> LaurentPoly:
     ``min(b, a-b)``, using the symmetry ``[a, b] = [a, a-b]``; only the first
     half of each palindromic row is built and kept, and it is mirrored here.
     Every coefficient is an exact integer.  The coefficient of q**k counts
-    partitions of k inside the (a-b) x b box.
+    partitions of k inside the (a-b) x b box.  a and b go through
+    ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
     """
+    a, b = _size("a", a), _size("b", b)
     if b < 0 or b > a:
         raise ValueError(f"require 0 <= b <= a, got a={a}, b={b}")
     return LaurentPoly._from_run(0, _mirror(*_half_row(a, b)))

@@ -10,10 +10,10 @@ rest of the package reads a space's record and never branches on the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Callable, Iterator
 
 from .characters import _member_general, _member_skew, _member_symmetric
+from .partitions import _size
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -105,13 +105,6 @@ FAMILIES: dict[str, Family] = {
         micro=lambda n, j: 0,
     ),
 }
-
-
-def _size(name: str, value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

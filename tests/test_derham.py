@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -6,7 +7,6 @@ from helpers import reference_closed_gf
 from detstrata import (
     LaurentPoly,
     MatrixSpace,
-    derham,
     epsilon_symmetric,
     euler_char_at_origin,
     ic_poincare,
@@ -143,6 +143,16 @@ class TestEulerCharAtOrigin:
                 enum, closed = inv_derham_gf_enum(sp, p), inv_derham_gf_closed(sp, p)
                 assert euler_char_at_origin(enum, sp.dim) == euler_char_at_origin(closed, sp.dim)
 
+    @pytest.mark.parametrize("dim", [1.5, 2.0, "2", None], ids=repr)
+    def test_non_integer_dim_raises_type_error_naming_it(self, dim):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'dim must be an integer, got {dim!r}')}$"):
+            euler_char_at_origin(LaurentPoly.one(), dim)
+
+    def test_bool_dim_reads_as_an_int(self):
+        gf = LaurentPoly(0, (1, 1, 1))
+        assert euler_char_at_origin(gf, True) == euler_char_at_origin(gf, 1) == -1
+        assert euler_char_at_origin(gf, False) == euler_char_at_origin(gf, 0) == 1
+
 
 CLOSED_SPACES = [MatrixSpace.general(30, 30), MatrixSpace.symmetric(41), MatrixSpace.skew(41)]
 
@@ -169,8 +179,7 @@ class TestClosedExpanders:
 
         substitute = spy("substitute_power", LaurentPoly.substitute_power)
         monkeypatch.setattr(LaurentPoly, "substitute_power", substitute)
-        for module in (qpoly, derham):
-            monkeypatch.setattr(module, "gauss_binomial", spy("gauss_binomial", qpoly.gauss_binomial))
+        monkeypatch.setattr(qpoly, "gauss_binomial", spy("gauss_binomial", qpoly.gauss_binomial))
         got = [(inv_derham_gf_closed(s, p), ic_poincare(s, p)) for s, p in cases]
         monkeypatch.undo()
         assert calls == []

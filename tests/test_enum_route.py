@@ -62,10 +62,13 @@ class TestAgainstPerStratumOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the enumeration route consulted a closed form")
 
-        for module in (detstrata, derham, qpoly):
+        for module in (detstrata, qpoly):
             monkeypatch.setattr(module, "gauss_binomial", forbidden)
         for module in (detstrata, derham):
             monkeypatch.setattr(module, "inv_derham_gf_closed", forbidden)
+        # what the closed routes read today: the cached half rows, one run per stratum, Pascal rows
+        for module, name in ((derham, "_half_row"), (derham, "_closed_run"), (obstructions, "_pascal_row")):
+            monkeypatch.setattr(module, name, forbidden)
         for module in (detstrata, obstructions):
             monkeypatch.setattr(module, "chi_closed", forbidden)
             monkeypatch.setattr(module, "euler_closed", forbidden)

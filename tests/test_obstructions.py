@@ -4,6 +4,7 @@ import pytest
 from helpers import reference_product
 
 from detstrata import (
+    LaurentPoly,
     MatrixSpace,
     Mismatch,
     StrataMatrix,
@@ -251,3 +252,70 @@ class TestVerify:
         found = verify(space)
         assert found == Mismatch(space, "index identity", (0, 1), -1, -2)
         assert str(found) == "symmetric(1) index identity cell (0,1): chi=-1, euler*signed=-2"
+
+
+def bumped(real, cells):
+    """The matrix route ``real`` with each of ``cells`` raised by one."""
+    def perturbed(space):
+        rows = [list(row) for row in real(space).rows]
+        for i, j in cells:
+            rows[i][j] += 1
+        return StrataMatrix(rows)
+    return perturbed
+
+
+class TestChecks:
+    """``verify`` runs ``CHECKS`` in order, and each check fires on a perturbation of its own route.
+
+    symmetric(3) has chi rows (1,-1,-2,1), (0,-1,-1,1), (0,0,-1,1), (0,0,0,1);
+    E rows (1,1,1,1), (0,1,0,1), (0,0,1,1), (0,0,0,1); and M rows
+    (1,0,0,0), (0,-1,-1,0), (0,0,-1,0), (0,0,0,1).
+    """
+
+    SPACE = MatrixSpace.symmetric(3)
+
+    def fired(self):
+        return [check(self.SPACE) is not None for _, _, check in obstructions.CHECKS]
+
+    def test_names_in_order(self):
+        assert [name for name, _, _ in obstructions.CHECKS] == ["derham", "index identity", "euler"]
+
+    def test_no_check_fires_on_the_real_routes(self):
+        assert self.fired() == [False, False, False]
+        assert verify(self.SPACE) is None
+
+    def test_derham_fires_on_an_enumerated_count(self, monkeypatch):
+        real = obstructions.inv_derham_gf_enum
+
+        def perturbed(space, p):
+            gf = real(space, p)
+            return gf + LaurentPoly.q_power(3) if p == 2 else gf
+
+        monkeypatch.setattr(obstructions, "inv_derham_gf_enum", perturbed)
+        found = verify(self.SPACE)
+        enum, closed = LaurentPoly(1, (1, 0, 1, 0, 1)), LaurentPoly(1, (1, 0, 0, 0, 1))
+        assert found == Mismatch(self.SPACE, "derham", (2,), enum, closed)
+        assert str(found) == "symmetric(3) derham p=2: enum=q + q^3 + q^5, closed=q + q^5"
+        assert self.fired() == [True, False, False]
+
+    @pytest.mark.parametrize("route, cells, check, at, first, second, text, fired", [
+        # e_{1,3} = 2 makes (E M)_{1,3} = 2 against chi_{1,3} = 1; the euler check sees it too
+        ("euler_closed", [(1, 3)], "index identity", (1, 3), 1, 2,
+         "symmetric(3) index identity cell (1,3): chi=1, euler*signed=2", [False, True, True]),
+        # chi_{2,3} = 2 solves to e_{2,3} = 2 against the closed 1
+        ("chi_from_enumeration", [(2, 3)], "euler", (2, 3), 2, 1,
+         "symmetric(3) euler cell (2,3): enumerated=2, closed=1", [False, False, True]),
+        # two bad cells: (0,3) comes first in row order, (1,1) in column order
+        ("euler_closed", [(1, 1), (0, 3)], "index identity", (0, 3), 1, 2,
+         "symmetric(3) index identity cell (0,3): chi=1, euler*signed=2", [False, True, True]),
+        ("chi_from_enumeration", [(1, 1), (0, 3)], "euler", (0, 3), 2, 1,
+         "symmetric(3) euler cell (0,3): enumerated=2, closed=1", [False, False, True]),
+    ], ids=["euler_closed", "chi_from_enumeration", "euler_closed-row-order", "chi_from_enumeration-row-order"])
+    def test_matrix_checks_fire_on_a_perturbed_cell(
+        self, monkeypatch, route, cells, check, at, first, second, text, fired
+    ):
+        monkeypatch.setattr(obstructions, route, bumped(getattr(obstructions, route), cells))
+        found = verify(self.SPACE)
+        assert found == Mismatch(self.SPACE, check, at, first, second)
+        assert str(found) == text
+        assert self.fired() == fired

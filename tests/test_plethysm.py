@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -111,6 +112,32 @@ class TestSkewExterior:
                     alpha = Partition(tuple(padded[j] - r for j in range(r)))
                     assert alpha.fits_in(r, n - r - 1)
                     assert padded[r + 1 :] == alpha.conjugate().pad(len(padded) - r - 1)
+
+
+# the three lists for spaces of dimension 6: general(3,2), symmetric(3), skew(4)
+LISTS = {
+    "cauchy": lambda i: cauchy_exterior(3, 2, i),
+    "symmetric": lambda i: symmetric_exterior_partitions(3, i),
+    "skew": lambda i: skew_exterior_partitions(4, i),
+}
+
+
+@pytest.mark.parametrize("listing", LISTS.values(), ids=LISTS.keys())
+class TestDegreeArgument:
+    @pytest.mark.parametrize("degree", [1.0, 1.5, "1", None], ids=repr)
+    def test_non_integer_degree_raises_type_error_naming_it(self, listing, degree):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'i must be an integer, got {degree!r}')}$"):
+            listing(degree)
+
+    def test_bool_degree_reads_as_an_int(self, listing):
+        assert listing(True) == listing(1)
+        assert listing(False) == listing(0) == [Partition(())]
+
+    def test_degree_range_is_zero_to_the_dimension(self, listing):
+        assert listing(6)
+        for degree in (-1, 7):
+            with pytest.raises(ValueError, match=f"got i={degree}$"):
+                listing(degree)
 
 
 class TestFrobeniusWeight:

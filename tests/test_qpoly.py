@@ -327,6 +327,17 @@ class TestGaussBinomial:
         with pytest.raises(ValueError):
             gauss_binomial(2, 3)
 
+    @pytest.mark.parametrize("args, name", [
+        ((5.0, 2), "a"), ((5, 2.0), "b"), (("5", 2), "a"), ((5, None), "b"), ((2.5, 1.5), "a"),
+    ], ids=repr)
+    def test_non_integer_arguments_raise_type_error_naming_them(self, args, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            gauss_binomial(*args)
+
+    def test_bool_arguments_read_as_ints(self):
+        assert gauss_binomial(True, False) == gauss_binomial(1, 0) == ONE
+        assert gauss_binomial(2, True) == gauss_binomial(2, 1)
+
     def test_symmetry(self):
         for a in range(11):
             for b in range(a + 1):
