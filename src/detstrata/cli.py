@@ -6,7 +6,9 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache, partial
+from collections import namedtuple
+from functools import lru_cache
+from typing import NoReturn
 
 from .characters import multiplicity
 from .derham import _closed_factors, inv_derham_gf_enum
@@ -23,17 +25,23 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _build_space(parser: argparse.ArgumentParser, args: argparse.Namespace) -> MatrixSpace:
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Exit 2 with message under the usage line of ``args.command``, as argparse's own errors do."""
+    commands = next(action.choices for action in _parser()._actions if action.dest == "command")
+    commands[args.command].error(message)
+
+
+def _build_space(args: argparse.Namespace) -> MatrixSpace:
     family = FAMILY_TOKENS[args.family]
     if FAMILIES[family].takes_m:
         if args.m is None:
-            parser.error(f"--m is required for --family {args.family}")
+            _usage_error(args, f"--m is required for --family {args.family}")
     elif args.m is not None:
-        parser.error(f"--m is only meaningful for --family {GENERAL}")
+        _usage_error(args, f"--m is only meaningful for --family {GENERAL}")
     try:
         return MatrixSpace(family, args.n, args.m)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
 
 
 def _json_head(space: MatrixSpace, kind: str) -> dict:
@@ -99,10 +107,10 @@ def _write_ic(space: MatrixSpace, fmt: str) -> None:
         write("\n")
 
 
-def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     if args.signed and args.kind != "micro":
-        parser.error(f"--signed only applies to --kind micro, not --kind {args.kind}")
-    space = _build_space(parser, args)
+        _usage_error(args, f"--signed only applies to --kind micro, not --kind {args.kind}")
+    space = _build_space(args)
     if args.kind == "ic":
         _write_ic(space, args.format)
     else:
@@ -110,14 +118,14 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _cmd_derham(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_derham(args: argparse.Namespace) -> int:
     if args.check and args.method not in (None, "both"):
-        parser.error(f"--check computes both routes, so it cannot take --method {args.method}")
-    space = _build_space(parser, args)
+        _usage_error(args, f"--check computes both routes, so it cannot take --method {args.method}")
+    space = _build_space(args)
     try:
         space.check_stratum(args.p)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     method = "both" if args.check else args.method or "closed"
     if method != "closed":
         enum = str(inv_derham_gf_enum(space, args.p))
@@ -137,45 +145,45 @@ def _cmd_derham(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_plethysm(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_plethysm(args: argparse.Namespace) -> int:
     try:
         if args.kind == "cauchy":
             if args.m is None:
-                parser.error("--m is required for --kind cauchy")
+                _usage_error(args, "--m is required for --kind cauchy")
             parts = cauchy_exterior(args.m, args.n, args.i)
         else:
             if args.m is not None:
-                parser.error("--m is only meaningful for --kind cauchy")
+                _usage_error(args, "--m is only meaningful for --kind cauchy")
             if args.kind == "symm":
                 parts = symmetric_exterior_partitions(args.n, args.i)
             else:
                 parts = skew_exterior_partitions(args.n, args.i)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     print(_dumps([p.to_json() for p in parts]))
     return 0
 
 
-def _cmd_character(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    space = _build_space(parser, args)
+def _cmd_character(args: argparse.Namespace) -> int:
+    space = _build_space(args)
     entries = []
     for tok in args.weight.split(","):
         try:
             entries.append(int(tok))
         except ValueError:
-            parser.error(f"--weight: {tok!r} is not an integer")
+            _usage_error(args, f"--weight: {tok!r} is not an integer")
     try:
         value = multiplicity(space, args.p, IntegerWeight(tuple(entries)))
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     print(value)
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
     if args.max < FAMILIES[family].min_n:
-        parser.error(f"--max {args.max} leaves no {family} space to verify")
+        _usage_error(args, f"--max {args.max} leaves no {family} space to verify")
     for space in spaces_up_to(family, args.max):
         mismatch = verify(space)
         if mismatch is not None:
@@ -185,57 +193,104 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
+# One flag of a subcommand; type bool is a store_true flag, which takes no value.
+Option = namedtuple("Option", "flag type choices required default help",
+                    defaults=(str, None, False, None, None))
+_FAMILY = Option("--family", choices=tuple(sorted(FAMILY_TOKENS)), required=True)
+_N = Option("--n", int, required=True)
+_SPACE = (_FAMILY, _N, Option("--m", int, help="row count (general family only)"))
+_P = Option("--p", int, required=True)
+
+# Each subcommand's handler, help summary and options, in the order of its usage line.
+# build_parser and _read both read this table.
+COMMANDS = {
+    "table": (_cmd_table, "print a strata matrix or the IC Poincare polynomials", (
+        *_SPACE,
+        Option("--kind", choices=("euler", "chi", "micro", "ic"), required=True),
+        Option("--format", choices=("text", "json", "csv"), default="text"),
+        Option("--signed", bool, default=False, help="sign the micro table by (-1)**d_i"),
+    )),
+    "derham": (_cmd_derham, "print invariant de Rham generating function(s)", (
+        *_SPACE,
+        _P,
+        Option("--method", choices=("enum", "closed", "both"), help="default: closed"),
+        Option("--check", bool, default=False, help="compute both routes, exit 1 on mismatch"),
+    )),
+    "plethysm": (_cmd_plethysm, "list exterior power summand partitions as JSON", (
+        Option("--kind", choices=("cauchy", "symm", "skew"), required=True),
+        _N,
+        Option("--m", int),
+        Option("--i", int, required=True),
+    )),
+    "character": (_cmd_character, "multiplicity of a weight in a stratum module", (
+        *_SPACE,
+        _P,
+        Option("--weight", required=True, help="comma-separated integers, e.g. 2,0,-1"),
+    )),
+    "verify": (_cmd_verify, "run the two-route agreement suites up to a size bound", (
+        _FAMILY,
+        Option("--max", int, required=True),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detstrata",
         description="Exact invariants of the rank stratification of matrix spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", choices=sorted(FAMILY_TOKENS), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=None, help="row count (general family only)")
-
-    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
-        # each handler reports usage errors through its own subparser
+    for name, (handler, summary, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=partial(handler, p))
-        return p
-
-    p_table = command("table", _cmd_table, "print a strata matrix or the IC Poincare polynomials")
-    add_family(p_table)
-    p_table.add_argument("--kind", choices=["euler", "chi", "micro", "ic"], required=True)
-    p_table.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_table.add_argument("--signed", action="store_true", help="sign the micro table by (-1)**d_i")
-
-    p_derham = command("derham", _cmd_derham, "print invariant de Rham generating function(s)")
-    add_family(p_derham)
-    p_derham.add_argument("--p", type=int, required=True)
-    p_derham.add_argument("--method", choices=["enum", "closed", "both"], help="default: closed")
-    p_derham.add_argument("--check", action="store_true", help="compute both routes, exit 1 on mismatch")
-
-    p_pleth = command("plethysm", _cmd_plethysm, "list exterior power summand partitions as JSON")
-    p_pleth.add_argument("--kind", choices=["cauchy", "symm", "skew"], required=True)
-    p_pleth.add_argument("--n", type=int, required=True)
-    p_pleth.add_argument("--m", type=int, default=None)
-    p_pleth.add_argument("--i", type=int, required=True)
-
-    p_char = command("character", _cmd_character, "multiplicity of a weight in a stratum module")
-    add_family(p_char)
-    p_char.add_argument("--p", type=int, required=True)
-    p_char.add_argument("--weight", required=True, help="comma-separated integers, e.g. 2,0,-1")
-
-    p_verify = command("verify", _cmd_verify, "run the two-route agreement suites up to a size bound")
-    p_verify.add_argument("--family", choices=sorted(FAMILY_TOKENS), required=True)
-    p_verify.add_argument("--max", type=int, required=True)
-
+        p.set_defaults(handler=handler)
+        for flag, kind, choices, required, default, help in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=default, help=help)
+            else:
+                p.add_argument(flag, type=kind, choices=choices, required=required, default=default,
+                               help=help)
     return parser
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for a well-formed command line; None for any other.
+
+    Well-formed: a command name, then only its flags, each spelled out in
+    full and given at most once, every required one present, and each value
+    flag followed by a value that does not start with '-', converts with the
+    option's type and is one of its choices.  Everything else (help,
+    ``--flag=value``, abbreviations, negative numbers, repeats, bad values)
+    is left to argparse, which reports it as it always has.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, options = COMMANDS[argv[0]]
+    unread = {option.flag: option for option in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = unread.pop(flag, None)  # None for a flag the command lacks or one repeated
+        if option is None:
+            return None
+        value = True
+        if option.type is not bool:
+            token = next(tokens, "-")
+            try:
+                value = option.type(token)
+            except ValueError:
+                return None
+            if token.startswith("-") or option.choices and value not in option.choices:
+                return None
+        given[flag[2:]] = value
+    if any(option.required for option in unread.values()):
+        return None
+    defaults = {flag[2:]: option.default for flag, option in unread.items()}
+    return argparse.Namespace(command=argv[0], handler=handler, **given, **defaults)
 
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call rather than at import.
+    """The parser for help and malformed command lines, built on the first one that needs it.
 
     Parsing and reporting usage errors leave a parser unchanged, so one
     instance serves every call in the process.
@@ -251,11 +306,14 @@ EXIT_BROKEN_PIPE = 141
 def main(argv: list[str] | None = None) -> int:
     """Run one command; return its exit status (0 ok, 1 mismatch, ``EXIT_BROKEN_PIPE``).
 
-    Usage errors exit 2 through argparse.  When stdout is a pipe whose reader
-    has closed it, the rest of the output goes to ``os.devnull`` and no
-    traceback is printed.
+    ``_read`` reads a well-formed command line; anything else goes to
+    argparse, which prints help or a usage error (exit 2).  When stdout is a
+    pipe whose reader has closed it, the rest of the output goes to
+    ``os.devnull`` and no traceback is printed.
     """
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv) or _parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -190,6 +190,7 @@ def _doubled_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
 
 def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
     """All partitions of size k inside the rows x cols box, lexicographically decreasing."""
+    rows, cols, k = _size("rows", rows), _size("cols", cols), _size("k", k)
     if rows < 0 or cols < 0 or k < 0:
         raise ValueError("rows, cols, k must be nonnegative")
     return [Partition(parts) for parts in _box_partitions(rows, cols, k)]

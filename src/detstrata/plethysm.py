@@ -99,6 +99,7 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
 
 def schur_dimension(p: Partition, N: int) -> int:
     """dim S_p(C^N) by the hook content formula; 0 when p has more than N parts."""
+    N = _size("N", N)
     if N < 0:
         raise ValueError(f"require N >= 0, got N={N}")
     if len(p) > N:

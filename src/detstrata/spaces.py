@@ -22,6 +22,7 @@ SKEW = "skew"
 
 def epsilon_symmetric(n: int, p: int) -> int:
     """The correction bit for symmetric spaces: 1 iff p is even and n is odd."""
+    n, p = _size("n", n), _size("p", p)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
     return 1 if p % 2 == 0 and n % 2 == 1 else 0

@@ -14,7 +14,7 @@ from helpers import (
     reference_matrix_rows,
     reference_matrix_table,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detstrata
@@ -580,14 +580,123 @@ class TestArgumentErrors:
         assert exc.value.code == 2
 
 
+# What argparse prints at 80 columns (CPython 3.11): the help screens of
+# ``detstrata --help`` (key None) and ``detstrata <command> --help``, and the
+# usage error of each TestHandlerUsage vector, by command.
+HELP_SCREENS = {
+    None: """\
+usage: detstrata [-h] {table,derham,plethysm,character,verify} ...
+
+Exact invariants of the rank stratification of matrix spaces.
+
+positional arguments:
+  {table,derham,plethysm,character,verify}
+    table               print a strata matrix or the IC Poincare polynomials
+    derham              print invariant de Rham generating function(s)
+    plethysm            list exterior power summand partitions as JSON
+    character           multiplicity of a weight in a stratum module
+    verify              run the two-route agreement suites up to a size bound
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "table": """\
+usage: detstrata table [-h] --family {general,skew,symm} --n N [--m M] --kind
+                       {euler,chi,micro,ic} [--format {text,json,csv}]
+                       [--signed]
+
+options:
+  -h, --help            show this help message and exit
+  --family {general,skew,symm}
+  --n N
+  --m M                 row count (general family only)
+  --kind {euler,chi,micro,ic}
+  --format {text,json,csv}
+  --signed              sign the micro table by (-1)**d_i
+""",
+    "derham": """\
+usage: detstrata derham [-h] --family {general,skew,symm} --n N [--m M] --p P
+                        [--method {enum,closed,both}] [--check]
+
+options:
+  -h, --help            show this help message and exit
+  --family {general,skew,symm}
+  --n N
+  --m M                 row count (general family only)
+  --p P
+  --method {enum,closed,both}
+                        default: closed
+  --check               compute both routes, exit 1 on mismatch
+""",
+    "plethysm": """\
+usage: detstrata plethysm [-h] --kind {cauchy,symm,skew} --n N [--m M] --i I
+
+options:
+  -h, --help            show this help message and exit
+  --kind {cauchy,symm,skew}
+  --n N
+  --m M
+  --i I
+""",
+    "character": """\
+usage: detstrata character [-h] --family {general,skew,symm} --n N [--m M] --p
+                           P --weight WEIGHT
+
+options:
+  -h, --help            show this help message and exit
+  --family {general,skew,symm}
+  --n N
+  --m M                 row count (general family only)
+  --p P
+  --weight WEIGHT       comma-separated integers, e.g. 2,0,-1
+""",
+    "verify": """\
+usage: detstrata verify [-h] --family {general,skew,symm} --max MAX
+
+options:
+  -h, --help            show this help message and exit
+  --family {general,skew,symm}
+  --max MAX
+""",
+}
+USAGE_ERRORS = {
+    "character": """\
+usage: detstrata character [-h] --family {general,skew,symm} --n N [--m M] --p
+                           P --weight WEIGHT
+detstrata character: error: --weight: '' is not an integer
+""",
+    "table": """\
+usage: detstrata table [-h] --family {general,skew,symm} --n N [--m M] --kind
+                       {euler,chi,micro,ic} [--format {text,json,csv}]
+                       [--signed]
+detstrata table: error: --signed only applies to --kind micro, not --kind euler
+""",
+    "derham": """\
+usage: detstrata derham [-h] --family {general,skew,symm} --n N [--m M] --p P
+                        [--method {enum,closed,both}] [--check]
+detstrata derham: error: --check computes both routes, so it cannot take --method enum
+""",
+    "plethysm": """\
+usage: detstrata plethysm [-h] --kind {cauchy,symm,skew} --n N [--m M] --i I
+detstrata plethysm: error: --m is required for --kind cauchy
+""",
+    "verify": """\
+usage: detstrata verify [-h] --family {general,skew,symm} --max MAX
+detstrata verify: error: --max 1 leaves no skew space to verify
+""",
+}
+
+
 class TestHandlerUsage:
-    @pytest.mark.parametrize("argv", [
+    VECTORS = [
         ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,,2"],
         ["table", "--family", "symm", "--n", "2", "--kind", "euler", "--signed"],
         ["derham", "--family", "symm", "--n", "3", "--p", "1", "--method", "enum", "--check"],
         ["plethysm", "--kind", "cauchy", "--n", "2", "--i", "1"],
         ["verify", "--family", "skew", "--max", "1"],
-    ], ids=lambda argv: argv[0])
+    ]
+
+    @pytest.mark.parametrize("argv", VECTORS, ids=lambda argv: argv[0])
     def test_handler_errors_print_their_subcommand_usage(self, capsys, argv):
         """An error a handler raises prints the usage of its subcommand, as argparse's own do."""
         with pytest.raises(SystemExit) as exc:
@@ -597,6 +706,23 @@ class TestHandlerUsage:
         assert out == ""
         assert err.startswith(f"usage: detstrata {argv[0]} ")
         assert err.splitlines()[-1].startswith(f"detstrata {argv[0]}: error: ")
+
+    @pytest.mark.parametrize("argv", VECTORS, ids=lambda argv: argv[0])
+    def test_handler_errors_print_the_pinned_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", USAGE_ERRORS[argv[0]])
+
+
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=str)
+def test_help_screens_print_the_pinned_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP_SCREENS[command], "")
 
 
 class TestParserReuse:
@@ -694,6 +820,110 @@ def test_fuzzed_arguments_exit_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Values that every flag accepts, with int spellings other than plain digits that int() reads.
+WELL_FORMED_VALUES = {
+    **FLAG_VALUES,
+    **dict.fromkeys(["--n", "--m", "--p", "--i", "--max"],
+                    st.integers(0, 8).map(str) | st.sampled_from(["+2", " 4", "1_0", "03"])),
+    "--weight": FLAG_VALUES["--weight"].filter(lambda weight: not weight.startswith("-")),
+}
+
+
+@st.composite
+def well_formed_commands(draw):
+    """A subcommand with each required flag and some optional ones, in any order, all values valid."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS.keys() - {"bogus"})))
+    values = {**WELL_FORMED_VALUES, "--kind": KINDS.get(command)}
+    argv = [command]
+    for flag in draw(st.permutations(COMMAND_FLAGS[command])):
+        if flag not in OPTIONAL_FLAGS or draw(st.booleans()):
+            argv += [flag] if values.get(flag) is None else [flag, draw(values[flag])]
+    return argv
+
+
+@st.composite
+def respelled_commands(draw):
+    """A well-formed command with one flag written as --flag=value or abbreviated, one value
+    starting with '-', or -h put in."""
+    argv = draw(well_formed_commands())
+    at = draw(st.sampled_from([at for at, token in enumerate(argv) if token.startswith("--")]))
+    flag, has_value = argv[at], at + 1 < len(argv) and not argv[at + 1].startswith("-")
+    spelling = draw(st.sampled_from(["=", "dash", "abbreviation", "help"]))
+    if spelling == "=" and has_value:
+        argv[at:at + 2] = [f"{flag}={argv[at + 1]}"]
+    elif spelling == "dash" and has_value:
+        argv[at + 1] = "-" + argv[at + 1]
+    elif spelling == "abbreviation" and len(flag) > 3:
+        argv[at] = flag[:draw(st.integers(3, len(flag) - 1))]
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+PARSER = detstrata.cli.build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argument_vectors() | well_formed_commands() | respelled_commands())
+# values starting with '-' that argparse reads as a flag, not as a negative number
+@example(["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "-1,0"])
+@example(["verify", "--family", "symm", "--max", "-1_0"])
+def test_reader_gives_none_or_what_argparse_gives(argv):
+    args = detstrata.cli._read(argv)
+    assert args is None or vars(args) == vars(PARSER.parse_args(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed_commands())
+def test_reader_reads_every_well_formed_command(argv):
+    args = detstrata.cli._read(argv)
+    assert args is not None and vars(args) == vars(PARSER.parse_args(argv))
+
+
+class TestReaderLiveness:
+    """Well-formed command lines never build the argparse parser."""
+
+    WELL_FORMED = [
+        # the bench's forms: derham --check per stratum, and the closed tables
+        ["derham", "--family", "general", "--n", "5", "--m", "7", "--p", "2", "--check"],
+        ["table", "--family", "symm", "--n", "10", "--kind", "ic", "--format", "json"],
+        ["table", "--family", "general", "--n", "6", "--m", "8", "--kind", "chi", "--format", "csv"],
+        ["table", "--family", "skew", "--n", "5", "--kind", "micro", "--signed"],
+        ["derham", "--family", "skew", "--n", "6", "--p", "1", "--method", "enum"],
+        ["plethysm", "--kind", "cauchy", "--n", "2", "--m", "3", "--i", "2"],
+        ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,0"],
+        ["verify", "--family", "skew", "--max", "4"],
+    ]
+
+    def test_in_process_commands_build_no_parser(self, capsys, monkeypatch):
+        detstrata.cli._parser.cache_clear()
+        for argv in self.WELL_FORMED:
+            assert main(argv) == 0, argv
+        monkeypatch.setattr(sys, "argv", ["detstrata", *self.WELL_FORMED[0]])
+        assert main() == 0
+        capsys.readouterr()
+        assert detstrata.cli._parser.cache_info().misses == 0
+
+    def test_python_m_builds_no_parser(self):
+        """``python -m detstrata.cli`` answers the same where argparse cannot build a parser.
+
+        ``runpy.run_module`` is what ``python -m`` runs; with ``add_subparsers``
+        deleted, building the parser would end in a traceback.
+        """
+        argv = self.WELL_FORMED[0]
+        guarded = ("import argparse, runpy\n"
+                   "del argparse.ArgumentParser.add_subparsers\n"
+                   "runpy.run_module('detstrata.cli', run_name='__main__', alter_sys=True)\n")
+        plain, guarded = (
+            subprocess.run([sys.executable, *how, *argv], capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": SRC})
+            for how in (["-m", "detstrata.cli"], ["-c", guarded])
+        )
+        assert plain.returncode == guarded.returncode == 0
+        assert plain.stderr == guarded.stderr == ""
+        assert plain.stdout == guarded.stdout and plain.stdout.startswith("enum: ")
 
 
 FAMILY_SIZES = {"general": st.integers(1, 9), "symm": st.integers(1, 14), "skew": st.integers(2, 14)}
