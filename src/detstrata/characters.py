@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions, _size
+from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions, _instance, _size
 
 if TYPE_CHECKING:
     from .spaces import MatrixSpace
@@ -41,7 +41,7 @@ def lambda_extension(w: IntegerWeight, s: int, m: int) -> IntegerWeight:
     with m - n copies of s in the middle.  Raises when the result fails to be
     weakly decreasing, which signals an input outside the natural domain.
     """
-    s, m = _size("s", s), _size("m", m)
+    w, s, m = _instance("w", w, IntegerWeight), _size("s", s), _size("m", m)
     n = len(w)
     if not 0 <= s <= n <= m:
         raise ValueError(f"require 0 <= s <= n <= m, got s={s}, n={n}, m={m}")
@@ -93,7 +93,7 @@ def member_general(w: IntegerWeight, m: int, p: int) -> bool:
 
     The conditions are w_{n-p} >= m - p and w_{n-p+1} <= n - p.
     """
-    m, p = _size("m", m), _size("p", p)
+    w, m, p = _instance("w", w, IntegerWeight), _size("m", m), _size("p", p)
     n = len(w)
     if not 0 <= p <= n <= m:
         raise ValueError(f"require 0 <= p <= n <= m, got p={p}, n={n}, m={m}")
@@ -126,7 +126,7 @@ def member_symmetric(w: IntegerWeight, p: int) -> bool:
     For n - p even: entries up to index n - p odd, the rest even,
     w_{n-p} >= n - p + 1 and w_{n-p+1} <= n - p.
     """
-    p = _size("p", p)
+    w, p = _instance("w", w, IntegerWeight), _size("p", p)
     n = len(w)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
@@ -166,7 +166,7 @@ def member_skew(w: IntegerWeight, p: int) -> bool:
     w_{n-2p} = n - 2p - 1, the pairing applies above it and shifts by one
     below it.
     """
-    p = _size("p", p)
+    w, p = _instance("w", w, IntegerWeight), _size("p", p)
     n = len(w)
     if not 0 <= p <= n // 2:
         raise ValueError(f"require 0 <= p <= floor(n/2), got p={p}, n={n}")
@@ -239,7 +239,7 @@ def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[i
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
     """Multiplicity (0 or 1) of the irreducible with highest weight w in the stratum-p module."""
-    p = space.check_stratum(p)
+    p, w = space.check_stratum(p), _instance("w", w, IntegerWeight)
     if len(w) != space.n:
         raise ValueError(f"weight length {len(w)} does not match n={space.n}")
     return 1 if space.record.member(w.entries, space.m, p) else 0

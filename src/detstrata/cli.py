@@ -8,40 +8,36 @@ import os
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from typing import NoReturn
 
 from .characters import multiplicity
 from .derham import _closed_factors, inv_derham_gf_enum
 from .obstructions import chi_rows, euler_rows, micro_rows, signed_micro_rows, verify
 from .partitions import IntegerWeight
-from .plethysm import cauchy_exterior, skew_exterior_partitions, symmetric_exterior_partitions
+from .plethysm import _exterior_partitions
 from .qpoly import _half_row, _render
-from .spaces import FAMILIES, GENERAL, MatrixSpace, spaces_up_to
+from .spaces import FAMILIES, GENERAL, SKEW, SYMMETRIC, MatrixSpace, spaces_up_to
 
 FAMILY_TOKENS = {record.token: family for family, record in FAMILIES.items()}
+# plethysm --kind names a space by the exterior power it lists: Cauchy's formula, Sym^2 or wedge^2
+PLETHYSM_KINDS = {"cauchy": GENERAL, "symm": SYMMETRIC, "skew": SKEW}
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
-    """Exit 2 with message under the usage line of ``args.command``, as argparse's own errors do."""
-    commands = next(action.choices for action in _parser()._actions if action.dest == "command")
-    commands[args.command].error(message)
-
-
-def _build_space(args: argparse.Namespace) -> MatrixSpace:
-    family = FAMILY_TOKENS[args.family]
+def _build_space(args: argparse.Namespace, flag: str = "--family", tokens: dict = FAMILY_TOKENS
+                 ) -> MatrixSpace:
+    """The space that ``flag``'s token (read through ``tokens``) and --n, --m name."""
+    token = getattr(args, flag[2:])
+    family = tokens[token]
     if FAMILIES[family].takes_m:
         if args.m is None:
-            _usage_error(args, f"--m is required for --family {args.family}")
+            raise ValueError(f"--m is required for {flag} {token}")
     elif args.m is not None:
-        _usage_error(args, f"--m is only meaningful for --family {GENERAL}")
-    try:
-        return MatrixSpace(family, args.n, args.m)
-    except ValueError as exc:
-        _usage_error(args, str(exc))
+        takes_m = next(t for t, f in tokens.items() if FAMILIES[f].takes_m)
+        raise ValueError(f"--m is only meaningful for {flag} {takes_m}")
+    return MatrixSpace(family, args.n, args.m)
 
 
 def _json_head(space: MatrixSpace, kind: str) -> dict:
@@ -109,7 +105,7 @@ def _write_ic(space: MatrixSpace, fmt: str) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.signed and args.kind != "micro":
-        _usage_error(args, f"--signed only applies to --kind micro, not --kind {args.kind}")
+        raise ValueError(f"--signed only applies to --kind micro, not --kind {args.kind}")
     space = _build_space(args)
     if args.kind == "ic":
         _write_ic(space, args.format)
@@ -120,13 +116,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_derham(args: argparse.Namespace) -> int:
     if args.check and args.method not in (None, "both"):
-        _usage_error(args, f"--check computes both routes, so it cannot take --method {args.method}")
+        raise ValueError(f"--check computes both routes, so it cannot take --method {args.method}")
     space = _build_space(args)
-    try:
-        space.check_stratum(args.p)
-    except ValueError as exc:
-        _usage_error(args, str(exc))
     method = "both" if args.check else args.method or "closed"
+    # Each route checks p before anything is printed, the enumerated one first.
     if method != "closed":
         enum = str(inv_derham_gf_enum(space, args.p))
         print(f"enum: {enum}")
@@ -146,21 +139,8 @@ def _cmd_derham(args: argparse.Namespace) -> int:
 
 
 def _cmd_plethysm(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "cauchy":
-            if args.m is None:
-                _usage_error(args, "--m is required for --kind cauchy")
-            parts = cauchy_exterior(args.m, args.n, args.i)
-        else:
-            if args.m is not None:
-                _usage_error(args, "--m is only meaningful for --kind cauchy")
-            if args.kind == "symm":
-                parts = symmetric_exterior_partitions(args.n, args.i)
-            else:
-                parts = skew_exterior_partitions(args.n, args.i)
-    except ValueError as exc:
-        _usage_error(args, str(exc))
-    print(_dumps([p.to_json() for p in parts]))
+    space = _build_space(args, "--kind", PLETHYSM_KINDS)
+    print(_dumps([p.to_json() for p in _exterior_partitions(space, args.i)]))
     return 0
 
 
@@ -171,19 +151,15 @@ def _cmd_character(args: argparse.Namespace) -> int:
         try:
             entries.append(int(tok))
         except ValueError:
-            _usage_error(args, f"--weight: {tok!r} is not an integer")
-    try:
-        value = multiplicity(space, args.p, IntegerWeight(tuple(entries)))
-    except ValueError as exc:
-        _usage_error(args, str(exc))
-    print(value)
+            raise ValueError(f"--weight: {tok!r} is not an integer") from None
+    print(multiplicity(space, args.p, IntegerWeight(tuple(entries))))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
     if args.max < FAMILIES[family].min_n:
-        _usage_error(args, f"--max {args.max} leaves no {family} space to verify")
+        raise ValueError(f"--max {args.max} leaves no {family} space to verify")
     for space in spaces_up_to(family, args.max):
         mismatch = verify(space)
         if mismatch is not None:
@@ -307,8 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; return its exit status (0 ok, 1 mismatch, ``EXIT_BROKEN_PIPE``).
 
     ``_read`` reads a well-formed command line; anything else goes to
-    argparse, which prints help or a usage error (exit 2).  When stdout is a
-    pipe whose reader has closed it, the rest of the output goes to
+    argparse, which prints help or a usage error (exit 2).  A handler raises
+    ValueError for a refusal, its own or the library's, and that too is
+    reported here as a usage error of its subcommand.  When stdout is a pipe
+    whose reader has closed it, the rest of the output goes to
     ``os.devnull`` and no traceback is printed.
     """
     if argv is None:
@@ -327,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except ValueError as exc:
+        # Exit 2 with the message under the subcommand's usage line, as argparse's own errors do.
+        commands = next(action.choices for action in _parser()._actions if action.dest == "command")
+        commands[args.command].error(str(exc))
     return code
 
 

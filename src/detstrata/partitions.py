@@ -18,6 +18,13 @@ def _size(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _instance(name: str, value, cls: type):
+    """value, when it is a cls; a TypeError names the argument otherwise."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A weakly decreasing sequence of nonnegative integers, trailing zeros trimmed.
@@ -138,25 +145,28 @@ def _box_partitions(rows: int, cols: int, k: int) -> list[tuple[int, ...]]:
     """Parts of every partition of k inside the rows x cols box, lexicographically decreasing.
 
     Unvalidated raw tuples without trailing zeros, for the enumeration route.
+    The parts chosen so far are the walk's only stack, so a long partition
+    costs no recursion depth.
     """
     out: list[tuple[int, ...]] = []
-
-    def fill(prefix: list[int], remaining: int, max_part: int, rows_left: int) -> None:
+    parts: list[int] = []
+    remaining = k
+    a = min(cols, k)  # the next part to try: at most the last part and what is left
+    while True:
+        rows_left = rows - len(parts)
         if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if rows_left == 0:
-            return
-        # first part large enough that the remaining rows can absorb the rest
-        for a in range(min(max_part, remaining), 0, -1):
-            if a * rows_left < remaining:
-                break
-            prefix.append(a)
-            fill(prefix, remaining - a, a, rows_left - 1)
-            prefix.pop()
-
-    fill([], k, cols, rows)
-    return out
+            out.append(tuple(parts))
+        # a part large enough that the remaining rows can absorb the rest
+        elif rows_left > 0 and a > 0 and a * rows_left >= remaining:
+            parts.append(a)
+            remaining -= a
+            a = min(a, remaining)
+            continue
+        # Nothing more below this prefix: back up one part and try it one smaller.
+        if not parts:
+            return out
+        a = parts.pop() - 1
+        remaining += a + 1
 
 
 def _in_box(parts: tuple[int, ...], rows: int, cols: int) -> bool:

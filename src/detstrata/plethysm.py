@@ -11,19 +11,9 @@ Durfee square.
 
 from __future__ import annotations
 
-from .partitions import Partition, _box_partitions, _conjugate, _in_box, _size, enumerate_in_rectangle
+from .partitions import (Partition, _box_partitions, _conjugate, _in_box, _instance, _size,
+                         enumerate_in_rectangle)
 from .spaces import MatrixSpace
-
-
-def _check_degree(space: MatrixSpace, i: int) -> int:
-    """i as a plain int, when it is a degree of the space's exterior powers: 0 to its dimension.
-
-    i goes through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
-    """
-    i = _size("i", i)
-    if not 0 <= i <= space.dim:
-        raise ValueError(f"require 0 <= i <= {space.dim}, the dimension of {space}, got i={i}")
-    return i
 
 
 def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
@@ -34,8 +24,7 @@ def cauchy_exterior(m: int, n: int, i: int) -> list[Partition]:
     n parts and mu' at most m parts, i.e. mu fits in the n x m box.
     Returned in decreasing lexicographic order.
     """
-    i = _check_degree(MatrixSpace.general(m, n), i)
-    return enumerate_in_rectangle(n, m, i)
+    return _exterior_partitions(MatrixSpace.general(m, n), i)
 
 
 def _frobenius_weight(shift: int, n: int, r: int, alpha: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -69,11 +58,21 @@ def _exterior_weights(shift: int, n: int, i: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _frobenius_exterior(space: MatrixSpace, i: int) -> list[Partition]:
-    """The degree-i summands of a symmetric or skew space, at its record's shift, decreasing."""
-    i = _check_degree(space, i)
-    weights = _exterior_weights(space.record.shift, space.n, i)
-    return sorted((Partition(w) for w in weights), reverse=True)
+def _exterior_partitions(space: MatrixSpace, i: int) -> list[Partition]:
+    """The partitions indexing the degree-i summands of the space's exterior algebra, decreasing.
+
+    With the record's shift None these are the partitions of i in the n x m
+    box (Cauchy's formula); otherwise the Frobenius weights at that shift.
+    i goes through ``operator.index`` (a float raises TypeError naming it, a
+    bool reads as 0 or 1) and must lie in 0..dim.
+    """
+    i = _size("i", i)
+    if not 0 <= i <= space.dim:
+        raise ValueError(f"require 0 <= i <= {space.dim}, the dimension of {space}, got i={i}")
+    shift = space.record.shift
+    if shift is None:
+        return enumerate_in_rectangle(space.n, space.m, i)
+    return sorted((Partition(w) for w in _exterior_weights(shift, space.n, i)), reverse=True)
 
 
 def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
@@ -83,7 +82,7 @@ def symmetric_exterior_partitions(n: int, i: int) -> list[Partition]:
     r x (n - r) box and r^2 + r + 2|alpha| = 2i; the partition has first r
     rows r + 1 + alpha_j and the conjugate of alpha below the Durfee square.
     """
-    return _frobenius_exterior(MatrixSpace.symmetric(n), i)
+    return _exterior_partitions(MatrixSpace.symmetric(n), i)
 
 
 def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
@@ -94,12 +93,12 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
     r rows r + alpha_j, then a single row of length r, then the conjugate of
     alpha.
     """
-    return _frobenius_exterior(MatrixSpace.skew(n), i)
+    return _exterior_partitions(MatrixSpace.skew(n), i)
 
 
 def schur_dimension(p: Partition, N: int) -> int:
     """dim S_p(C^N) by the hook content formula; 0 when p has more than N parts."""
-    N = _size("N", N)
+    p, N = _instance("p", p, Partition), _size("N", N)
     if N < 0:
         raise ValueError(f"require N >= 0, got N={N}")
     if len(p) > N:

@@ -1,7 +1,8 @@
 """The free functions of ``detstrata.__all__`` take their integer arguments through ``operator.index``.
 
 A float, a string or None raises a TypeError that names the argument; a bool
-reads as 0 or 1.
+reads as 0 or 1.  A weight or partition argument of any other type raises a
+TypeError that names it, too.
 """
 
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from detstrata import (
     IntegerWeight,
+    MatrixSpace,
     Partition,
     enumerate_in_rectangle,
     epsilon_symmetric,
@@ -17,6 +19,7 @@ from detstrata import (
     member_general,
     member_skew,
     member_symmetric,
+    multiplicity,
     schur_dimension,
 )
 
@@ -57,3 +60,28 @@ def test_integer_arguments_refuse_non_integers_and_read_bools_as_ints(function, 
     else:
         with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
             function(*bad)
+
+
+# (function, a valid call's arguments, the position of its weight or partition argument, its name)
+TYPED_CALLS = [
+    (member_general, (W, 4, 1), 0, "w"),
+    (member_symmetric, (W, 1), 0, "w"),
+    (member_skew, (W, 1), 0, "w"),
+    (lambda_extension, (W, 1, 4), 0, "w"),
+    (multiplicity, (MatrixSpace.symmetric(3), 1, W), 2, "w"),
+    (schur_dimension, (Partition((2, 1)), 3), 0, "p"),
+]
+# the entries as a plain tuple or list, no value, a string, and the other one of the two types
+OTHER_VALUES = [(2, 1, 0), [2, 1, 0], None, "210", Partition((2, 1)), IntegerWeight((2, 1, 0))]
+
+
+@pytest.mark.parametrize("function, args, at, name, value", [
+    pytest.param(function, args, at, name, value, id=f"{function.__name__}-{name}-{value!r}")
+    for function, args, at, name in TYPED_CALLS
+    for value in OTHER_VALUES
+    if type(value) is not type(args[at])
+])
+def test_weight_and_partition_arguments_refuse_other_types(function, args, at, name, value):
+    kind = type(args[at]).__name__
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be of type {kind}, got {value!r}')}$"):
+        function(*args[:at], value, *args[at + 1:])

@@ -429,6 +429,12 @@ class TestPlethysm:
         assert code == 0
         assert json.loads(out) == [[3, 3, 3, 3]]
 
+    def test_long_summands(self, capsys):
+        """A summand with more rows than the interpreter's recursion limit prints like any other."""
+        code, out, _ = run(capsys, "plethysm", "--kind", "symm", "--n", "1001", "--i", "501500")
+        assert code == 0
+        assert json.loads(out) == [[1002] * 1000 + [1000]]
+
     def test_cauchy_requires_m(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plethysm", "--kind", "cauchy", "--n", "2", "--i", "1"])
@@ -684,21 +690,64 @@ detstrata plethysm: error: --m is required for --kind cauchy
 usage: detstrata verify [-h] --family {general,skew,symm} --max MAX
 detstrata verify: error: --max 1 leaves no skew space to verify
 """,
+    "derham-enum-stratum": """\
+usage: detstrata derham [-h] --family {general,skew,symm} --n N [--m M] --p P
+                        [--method {enum,closed,both}] [--check]
+detstrata derham: error: stratum 3 out of range for symmetric(2): 0..2
+""",
+    "derham-check-stratum": """\
+usage: detstrata derham [-h] --family {general,skew,symm} --n N [--m M] --p P
+                        [--method {enum,closed,both}] [--check]
+detstrata derham: error: stratum 3 out of range for symmetric(2): 0..2
+""",
+    "plethysm-degree": """\
+usage: detstrata plethysm [-h] --kind {cauchy,symm,skew} --n N [--m M] --i I
+detstrata plethysm: error: require 0 <= i <= 3, the dimension of symmetric(2), got i=9
+""",
+    "plethysm-m-not-cauchy": """\
+usage: detstrata plethysm [-h] --kind {cauchy,symm,skew} --n N [--m M] --i I
+detstrata plethysm: error: --m is only meaningful for --kind cauchy
+""",
+    "plethysm-space": """\
+usage: detstrata plethysm [-h] --kind {cauchy,symm,skew} --n N [--m M] --i I
+detstrata plethysm: error: general family needs m >= n >= 1, got m=1, n=2
+""",
+    "character-weight": """\
+usage: detstrata character [-h] --family {general,skew,symm} --n N [--m M] --p
+                           P --weight WEIGHT
+detstrata character: error: entries must be weakly decreasing: (1, 2)
+""",
+    "table-space": """\
+usage: detstrata table [-h] --family {general,skew,symm} --n N [--m M] --kind
+                       {euler,chi,micro,ic} [--format {text,json,csv}]
+                       [--signed]
+detstrata table: error: skew family needs n >= 2, got n=1
+""",
 }
 
 
 class TestHandlerUsage:
-    VECTORS = [
-        ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,,2"],
-        ["table", "--family", "symm", "--n", "2", "--kind", "euler", "--signed"],
-        ["derham", "--family", "symm", "--n", "3", "--p", "1", "--method", "enum", "--check"],
-        ["plethysm", "--kind", "cauchy", "--n", "2", "--i", "1"],
-        ["verify", "--family", "skew", "--max", "1"],
-    ]
+    """Refusals of a handler or of the library, each under the name of its pinned text."""
 
-    @pytest.mark.parametrize("argv", VECTORS, ids=lambda argv: argv[0])
-    def test_handler_errors_print_their_subcommand_usage(self, capsys, argv):
+    VECTORS = {
+        "character": ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,,2"],
+        "table": ["table", "--family", "symm", "--n", "2", "--kind", "euler", "--signed"],
+        "derham": ["derham", "--family", "symm", "--n", "3", "--p", "1", "--method", "enum", "--check"],
+        "plethysm": ["plethysm", "--kind", "cauchy", "--n", "2", "--i", "1"],
+        "verify": ["verify", "--family", "skew", "--max", "1"],
+        "derham-enum-stratum": ["derham", "--family", "symm", "--n", "2", "--p", "3", "--method", "enum"],
+        "derham-check-stratum": ["derham", "--family", "symm", "--n", "2", "--p", "3", "--check"],
+        "plethysm-degree": ["plethysm", "--kind", "symm", "--n", "2", "--i", "9"],
+        "plethysm-m-not-cauchy": ["plethysm", "--kind", "skew", "--n", "3", "--m", "4", "--i", "1"],
+        "plethysm-space": ["plethysm", "--kind", "cauchy", "--m", "1", "--n", "2", "--i", "1"],
+        "character-weight": ["character", "--family", "symm", "--n", "2", "--p", "1", "--weight", "1,2"],
+        "table-space": ["table", "--family", "skew", "--n", "1", "--kind", "euler"],
+    }
+
+    @pytest.mark.parametrize("name", VECTORS)
+    def test_handler_errors_print_their_subcommand_usage(self, capsys, name):
         """An error a handler raises prints the usage of its subcommand, as argparse's own do."""
+        argv = self.VECTORS[name]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -707,13 +756,13 @@ class TestHandlerUsage:
         assert err.startswith(f"usage: detstrata {argv[0]} ")
         assert err.splitlines()[-1].startswith(f"detstrata {argv[0]}: error: ")
 
-    @pytest.mark.parametrize("argv", VECTORS, ids=lambda argv: argv[0])
-    def test_handler_errors_print_the_pinned_text(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("name", VECTORS)
+    def test_handler_errors_print_the_pinned_text(self, capsys, monkeypatch, name):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(self.VECTORS[name])
         assert exc.value.code == 2
-        assert capsys.readouterr() == ("", USAGE_ERRORS[argv[0]])
+        assert capsys.readouterr() == ("", USAGE_ERRORS[name])
 
 
 @pytest.mark.parametrize("command", HELP_SCREENS, ids=str)

@@ -122,6 +122,13 @@ class TestEnumerateInRectangle:
                         assert p.size == k
                         assert p.fits_in(rows, cols)
 
+    def test_long_partitions_need_no_recursion_depth(self):
+        """A partition with more parts than the interpreter's recursion limit is listed too."""
+        assert enumerate_in_rectangle(1200, 1, 1200) == [Partition((1,) * 1200)]
+        # j twos and 1201 - 2j ones in at most 1200 rows: 1 <= j <= 600, the most twos first
+        got = enumerate_in_rectangle(1200, 2, 1201)
+        assert got == [Partition((2,) * j + (1,) * (1201 - 2 * j)) for j in range(600, 0, -1)]
+
     def test_counts_match_gauss_binomial_coefficients(self):
         for a in range(9):
             for b in range(a + 1):

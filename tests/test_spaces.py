@@ -158,16 +158,21 @@ class TestStratumIndex:
             self.SPACE.check_stratum(3)
 
 
+# A family's name or command-line token as a string literal, in either quotes.
+FAMILY_TOKEN = r"""["'](?:general|symm|symmetric|skew|cauchy)["']"""
+
+
 def test_family_knowledge_lives_only_in_the_records():
-    """No module but spaces.py compares a family name: the records carry the per-family data."""
+    """No module but spaces.py compares a family name or token: the records carry the per-family data."""
     package = os.path.dirname(detstrata.__file__)
+    comparison = re.compile(rf"family\s*[!=]=|[!=]=\s*{FAMILY_TOKEN}|{FAMILY_TOKEN}\s*[!=]=")
     offenders = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py") or name == "spaces.py":
             continue
         with open(os.path.join(package, name)) as fh:
             for lineno, line in enumerate(fh, start=1):
-                if re.search(r"family\s*[!=]=", line):
+                if comparison.search(line):
                     offenders.append(f"{name}:{lineno}: {line.strip()}")
     assert offenders == []
 
