@@ -239,7 +239,10 @@ def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[i
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
     """Multiplicity (0 or 1) of the irreducible with highest weight w in the stratum-p module."""
-    p, w = space.check_stratum(p), _instance("w", w, IntegerWeight)
+    from .spaces import MatrixSpace  # spaces imports this module
+
+    p = _instance("space", space, MatrixSpace).check_stratum(p)
+    w = _instance("w", w, IntegerWeight)
     if len(w) != space.n:
         raise ValueError(f"weight length {len(w)} does not match n={space.n}")
     return 1 if space.record.member(w.entries, space.m, p) else 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .characters import _durfee_candidates, _extend, _general_candidates
-from .partitions import _conjugate, _in_box, _size
+from .partitions import _conjugate, _in_box, _instance, _size
 from .plethysm import _frobenius_weight
 from .qpoly import LaurentPoly, _half_row, _mirror
 from .spaces import MatrixSpace
@@ -77,7 +77,7 @@ def inv_derham_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
     predicate.  All strata of a space come from one pass, kept in a per-space
     cache of bounded size.
     """
-    p = space.check_stratum(p)
+    p = _instance("space", space, MatrixSpace).check_stratum(p)
     return _enum_all(space)[p]
 
 
@@ -108,12 +108,12 @@ def _closed_run(space: MatrixSpace, p: int, offset: int) -> LaurentPoly:
 
 def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:
     """Closed form of the same generating function: the IC Poincare polynomial times q**dim."""
-    return _closed_run(space, p, space.dim)
+    return _closed_run(space, p, _instance("space", space, MatrixSpace).dim)
 
 
 def ic_poincare(space: MatrixSpace, p: int) -> LaurentPoly:
     """IC Poincare polynomial of the stratum closure, from ``_closed_factors``."""
-    return _closed_run(space, p, 0)
+    return _closed_run(_instance("space", space, MatrixSpace), p, 0)
 
 
 def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:
@@ -122,4 +122,4 @@ def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:
     Equals (-1)**dim times the stratum's generating function gf evaluated at q = -1.  dim goes
     through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
     """
-    return (-1) ** _size("dim", dim) * gf.evaluate(-1)
+    return (-1) ** _size("dim", dim) * _instance("gf", gf, LaurentPoly).evaluate(-1)

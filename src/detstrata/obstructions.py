@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from operator import index, mul
 from typing import Iterator
 
-from .derham import _enum_all, euler_char_at_origin, inv_derham_gf_closed, inv_derham_gf_enum
+from .derham import _enum_all, inv_derham_gf_closed, inv_derham_gf_enum
+from .partitions import _instance
 from .qpoly import _pascal_row
 from .spaces import MatrixSpace
 
@@ -29,7 +30,8 @@ class StrataMatrix:
     string raises TypeError.  ``rows`` holds them as tuples.  A row of the
     wrong length raises "matrix must be square" before any cell below the
     diagonal is read; a nonzero cell there raises naming the first one in
-    row order.
+    row order.  The matrices this module builds itself are square and upper
+    triangular by construction and are wrapped by ``_of`` without these checks.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -43,6 +45,13 @@ class StrataMatrix:
                 j = next(j for j, x in enumerate(row) if x)
                 raise ValueError(f"entry ({i},{j}) below the diagonal must be zero")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> StrataMatrix:
+        """Wrap a tuple of int-tuple rows built in this module: square and triangular, not re-validated."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @classmethod
     def identity(cls, order: int) -> StrataMatrix:
@@ -60,9 +69,9 @@ class StrataMatrix:
             raise ValueError("matrix orders differ")
         # both factors are upper triangular, so row i of the product is zero left of column i
         cols = tuple(zip(*other.rows))
-        return StrataMatrix(
-            [0] * i + [sum(map(mul, row, col)) for col in cols[i:]] for i, row in enumerate(self.rows)
-        )
+        return StrataMatrix._of(tuple(
+            tuple([0] * i + [sum(map(mul, row, col)) for col in cols[i:]]) for i, row in enumerate(self.rows)
+        ))
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -126,12 +135,12 @@ def signed_micro_rows(space: MatrixSpace) -> Iterator[tuple[int, ...]]:
 
 def micro_indices(space: MatrixSpace) -> StrataMatrix:
     """Unsigned microlocal indices m_{i,j} of the IC modules, from the family record."""
-    return StrataMatrix(micro_rows(space))
+    return StrataMatrix._of(tuple(micro_rows(_instance("space", space, MatrixSpace))))
 
 
 def signed_micro(space: MatrixSpace) -> StrataMatrix:
     """The matrix M with entries (-1)**d_i m_{i,j} (sign by row index)."""
-    return StrataMatrix(signed_micro_rows(space))
+    return StrataMatrix._of(tuple(signed_micro_rows(_instance("space", space, MatrixSpace))))
 
 
 def chi_closed(space: MatrixSpace) -> StrataMatrix:
@@ -141,12 +150,12 @@ def chi_closed(space: MatrixSpace) -> StrataMatrix:
     the space transverse to stratum i, at q = 1 (see ``spaces.Family``): a
     plain binomial, read from one Pascal row per strand of each row.
     """
-    return StrataMatrix(chi_rows(space))
+    return StrataMatrix._of(tuple(chi_rows(_instance("space", space, MatrixSpace))))
 
 
 def euler_closed(space: MatrixSpace) -> StrataMatrix:
     """Local Euler obstructions e_{i,j} in closed form: the family record's binomial cells."""
-    return StrataMatrix(euler_rows(space))
+    return StrataMatrix._of(tuple(euler_rows(_instance("space", space, MatrixSpace))))
 
 
 def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:
@@ -157,16 +166,17 @@ def chi_from_enumeration(space: MatrixSpace) -> StrataMatrix:
     (the space itself for i = 0), with the sign (-1)**d_i of the ambient
     smooth factor: chi_{i,j} = (-1)**d_i * chi'_{0, j-i}.
     """
-    order, signs = space.num_strata, _signs(space)
-    rows = [[0] * order for _ in range(order)]
-    # the slice transverse to the top stratum is a point, so chi'_{0,0} = 1
-    rows[-1][-1] = signs[-1]
-    for i in range(order - 1):
-        # the reduced space has order - i strata, all enumerated by one cached pass
+    signs = _signs(_instance("space", space, MatrixSpace))
+    rows = []
+    for i, sign in enumerate(signs[:-1]):
+        # the reduced space has order - i strata, all enumerated by one cached pass; chi'_{0,p}
+        # is (-1)**dim times stratum p's generating function at q = -1 (``euler_char_at_origin``)
         smaller = space.reduced(i)
-        sign, dim = signs[i], smaller.dim
-        rows[i][i:] = [sign * euler_char_at_origin(gf, dim) for gf in _enum_all(smaller)]
-    return StrataMatrix(rows)
+        sign = -sign if smaller.dim % 2 else sign
+        rows.append((0,) * i + tuple([sign * gf.evaluate(-1) for gf in _enum_all(smaller)]))
+    # the slice transverse to the top stratum is a point, so chi'_{0,0} = 1
+    rows.append((0,) * (len(signs) - 1) + (signs[-1],))
+    return StrataMatrix._of(tuple(rows))
 
 
 def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
@@ -175,6 +185,7 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
     Requires every diagonal entry of ``signed`` to be +-1, which makes its
     inverse integral; the divisions below are then exact.
     """
+    chi, signed = _instance("chi", chi, StrataMatrix), _instance("signed", signed, StrataMatrix)
     if chi.order != signed.order:
         raise ValueError("matrix orders differ")
     order, signed_rows = chi.order, signed.rows
@@ -189,8 +200,8 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
             for k in range(i, j):
                 acc -= row[k] * signed_rows[k][j]
             row[j] = acc * signed_rows[j][j]  # diagonal is +-1, so * is 1/
-        rows.append(row)
-    return StrataMatrix(rows)
+        rows.append(tuple(row))
+    return StrataMatrix._of(tuple(rows))
 
 
 def _first_cell(lhs: StrataMatrix, rhs: StrataMatrix) -> tuple | None:
@@ -238,7 +249,7 @@ CHECKS = (
 
 def verify_index_identity(space: MatrixSpace) -> bool:
     """Whether chi = euler * signed_micro holds entrywise for the closed forms."""
-    return _index_identity(space) is None
+    return _index_identity(_instance("space", space, MatrixSpace)) is None
 
 
 @dataclass(frozen=True)
@@ -262,6 +273,7 @@ class Mismatch:
 
 def verify(space: MatrixSpace) -> Mismatch | None:
     """Run the checks of ``CHECKS`` on one space in order; return the first disagreement, or None."""
+    _instance("space", space, MatrixSpace)
     for name, _, check in CHECKS:
         found = check(space)
         if found is not None:

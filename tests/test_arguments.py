@@ -1,8 +1,8 @@
 """The free functions of ``detstrata.__all__`` take their integer arguments through ``operator.index``.
 
 A float, a string or None raises a TypeError that names the argument; a bool
-reads as 0 or 1.  A weight or partition argument of any other type raises a
-TypeError that names it, too.
+reads as 0 or 1.  A weight, partition, space, polynomial or matrix argument
+of any other type raises a TypeError that names it, too.
 """
 
 import re
@@ -11,16 +11,30 @@ import pytest
 
 from detstrata import (
     IntegerWeight,
+    LaurentPoly,
     MatrixSpace,
     Partition,
+    StrataMatrix,
+    chi_closed,
+    chi_from_enumeration,
     enumerate_in_rectangle,
     epsilon_symmetric,
+    euler_char_at_origin,
+    euler_closed,
+    ic_poincare,
+    inv_derham_gf_closed,
+    inv_derham_gf_enum,
     lambda_extension,
     member_general,
     member_skew,
     member_symmetric,
+    micro_indices,
     multiplicity,
     schur_dimension,
+    signed_micro,
+    solve_euler,
+    verify,
+    verify_index_identity,
 )
 
 W = IntegerWeight((2, 1, 0))
@@ -82,6 +96,30 @@ OTHER_VALUES = [(2, 1, 0), [2, 1, 0], None, "210", Partition((2, 1)), IntegerWei
     if type(value) is not type(args[at])
 ])
 def test_weight_and_partition_arguments_refuse_other_types(function, args, at, name, value):
+    kind = type(args[at]).__name__
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be of type {kind}, got {value!r}')}$"):
+        function(*args[:at], value, *args[at + 1:])
+
+
+S = MatrixSpace.symmetric(3)
+ONE = StrataMatrix(((1, 0), (0, 1)))
+# (function, a valid call's arguments, the position of its space, polynomial or matrix argument, its name)
+OBJECT_CALLS = [
+    *((function, (S,), 0, "space") for function in (
+        chi_closed, chi_from_enumeration, euler_closed, micro_indices, signed_micro, verify,
+        verify_index_identity)),
+    *((function, (S, 1), 0, "space") for function in (ic_poincare, inv_derham_gf_enum, inv_derham_gf_closed)),
+    (multiplicity, (S, 1, W), 0, "space"),
+    (euler_char_at_origin, (LaurentPoly.one(), 1), 0, "gf"),
+    (solve_euler, (ONE, ONE), 0, "chi"),
+    (solve_euler, (ONE, ONE), 1, "signed"),
+]
+
+
+@pytest.mark.parametrize("value", [None, "symmetric(3)"], ids=repr)
+@pytest.mark.parametrize("function, args, at, name", OBJECT_CALLS,
+                         ids=[f"{call[0].__name__}-{call[3]}" for call in OBJECT_CALLS])
+def test_space_polynomial_and_matrix_arguments_refuse_other_types(function, args, at, name, value):
     kind = type(args[at]).__name__
     with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be of type {kind}, got {value!r}')}$"):
         function(*args[:at], value, *args[at + 1:])

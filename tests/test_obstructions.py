@@ -77,6 +77,25 @@ class TestStrataMatrix:
             StrataMatrix(rows)
 
 
+WRAP_SPACES = (
+    [MatrixSpace.general(m, n) for n in range(1, 9) for m in range(n, 9)]
+    + [MatrixSpace.symmetric(n) for n in range(1, 15)]
+    + [MatrixSpace.skew(n) for n in range(2, 17)]
+)
+
+
+@pytest.mark.parametrize("space", WRAP_SPACES, ids=str)
+def test_every_built_matrix_passes_the_validating_constructor(space):
+    """The package wraps the rows it builds without checks; each matrix must be one the constructor accepts."""
+    euler, signed = euler_closed(space), signed_micro(space)
+    chi = chi_from_enumeration(space)
+    built = [euler, chi_closed(space), micro_indices(space), signed, chi, euler * signed, solve_euler(chi, signed)]
+    for matrix in built:
+        assert type(matrix.rows) is tuple
+        assert all(type(row) is tuple and all(type(cell) is int for cell in row) for row in matrix.rows)
+        assert matrix == StrataMatrix(matrix.rows)
+
+
 class TestStratumDimension:
     def test_examples(self):
         sym2 = MatrixSpace.symmetric(2)
