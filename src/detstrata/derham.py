@@ -120,6 +120,10 @@ def euler_char_at_origin(gf: LaurentPoly, dim: int) -> int:
     """Local IC Euler characteristic at the origin of a stratum closure in a space of dimension dim.
 
     Equals (-1)**dim times the stratum's generating function gf evaluated at q = -1.  dim goes
-    through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1.
+    through ``operator.index``: a float raises TypeError naming it, a bool reads as 0 or 1, and
+    a negative dim is refused.
     """
-    return (-1) ** _size("dim", dim) * _instance("gf", gf, LaurentPoly).evaluate(-1)
+    gf, dim = _instance("gf", gf, LaurentPoly), _size("dim", dim)
+    if dim < 0:
+        raise ValueError(f"require dim >= 0, got dim={dim}")
+    return (-1) ** dim * gf.evaluate(-1)

@@ -17,7 +17,7 @@ from operator import index, mul
 from typing import Iterator
 
 from .derham import _enum_all, inv_derham_gf_closed, inv_derham_gf_enum
-from .partitions import _instance
+from .partitions import _instance, _ints, _size
 from .qpoly import _pascal_row
 from .spaces import MatrixSpace
 
@@ -26,8 +26,8 @@ from .spaces import MatrixSpace
 class StrataMatrix:
     """Square upper-triangular matrix of exact integers, indexed by strata.
 
-    Built from any iterable of rows, each an iterable of ints; a float or a
-    string raises TypeError.  ``rows`` holds them as tuples.  A row of the
+    Built from any iterable of rows, each an iterable of ints; a float, a
+    string or None raises a TypeError naming ``rows``.  ``rows`` holds them as tuples.  A row of the
     wrong length raises "matrix must be square" before any cell below the
     diagonal is read; a nonzero cell there raises naming the first one in
     row order.  The matrices this module builds itself are square and upper
@@ -37,7 +37,7 @@ class StrataMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple([tuple(map(index, row)) for row in self.rows])
+        rows = _ints("rows", self.rows, lambda row: tuple(map(index, row)))
         if any(map(len(rows).__ne__, map(len, rows))):
             raise ValueError("matrix must be square")
         for i, row in enumerate(rows):
@@ -53,18 +53,19 @@ class StrataMatrix:
         object.__setattr__(matrix, "rows", rows)
         return matrix
 
-    @classmethod
-    def identity(cls, order: int) -> StrataMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(order)) for i in range(order)))
-
     @property
     def order(self) -> int:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
+        i, j = _size("i", i), _size("j", j)
+        if not (0 <= i < self.order and 0 <= j < self.order):
+            raise ValueError(f"cell ({i},{j}) out of range for order {self.order}")
         return self.rows[i][j]
 
     def __mul__(self, other: StrataMatrix) -> StrataMatrix:
+        if not isinstance(other, StrataMatrix):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError("matrix orders differ")
         # both factors are upper triangular, so row i of the product is zero left of column i

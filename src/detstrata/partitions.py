@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge, index
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def _size(name: str, value) -> int:
@@ -16,6 +16,19 @@ def _size(name: str, value) -> int:
         return index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _ints(name: str, values, item=index) -> tuple:
+    """tuple(map(item, values)); a TypeError names the argument.
+
+    item reads each entry through ``operator.index``.  values that are not
+    iterable, or an entry that item refuses (a float, a string, None), raise;
+    a bool reads as 0 or 1.
+    """
+    try:
+        return tuple(map(item, values))
+    except TypeError:
+        raise TypeError(f"{name} must hold only integers, got {values!r}") from None
 
 
 def _instance(name: str, value, cls: type):
@@ -32,13 +45,13 @@ class Partition:
     The empty sequence is the zero partition.  Equality is structural, so the
     trimming makes ``Partition((3, 1, 0))`` and ``Partition((3, 1))`` the same
     value.  Ordering is lexicographic on the stored parts.  Parts go through
-    ``operator.index``, so a float or a string raises TypeError.
+    ``operator.index``, so a float, a string or None raises a TypeError naming ``parts``.
     """
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(map(index, self.parts))
+        parts = _ints("parts", self.parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -62,54 +75,32 @@ class Partition:
         """Number of boxes of the Young diagram."""
         return sum(self.parts)
 
-    @property
-    def durfee(self) -> int:
-        """Side length of the largest square contained in the diagram."""
-        s = 0
-        for i, a in enumerate(self.parts, start=1):
-            if a >= i:
-                s = i
-        return s
-
     def conjugate(self) -> Partition:
         """Transpose of the Young diagram: row i of the result counts parts >= i."""
         return Partition(_conjugate(self.parts))
 
-    def fits_in(self, rows: int, cols: int) -> bool:
-        """Containment in the rows x cols rectangle."""
-        if rows < 0 or cols < 0:
-            raise ValueError("rectangle sides must be nonnegative")
-        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
-
     def pad(self, length: int) -> tuple[int, ...]:
         """Parts extended by zeros to the given length."""
+        length = _size("length", length)
         if length < len(self.parts):
             raise ValueError(f"partition {self} has more than {length} parts")
         return self.parts + (0,) * (length - len(self.parts))
 
-    def to_weight(self, length: int) -> IntegerWeight:
-        """View as a dominant weight of the given length (pad with zeros)."""
-        return IntegerWeight(self.pad(length))
-
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> Partition:
-        return cls(tuple(data))
 
 
 @dataclass(frozen=True)
 class IntegerWeight:
     """A weakly decreasing integer sequence of fixed, explicit length.
 
-    Entries go through ``operator.index``, so a float or a string raises TypeError.
+    Entries go through ``operator.index``, so a float, a string or None raises a TypeError naming ``entries``.
     """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(map(index, self.entries))
+        entries = _ints("entries", self.entries)
         for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise ValueError(f"entries must be weakly decreasing: {entries}")
@@ -123,10 +114,6 @@ class IntegerWeight:
 
     def __repr__(self) -> str:
         return f"IntegerWeight({list(self.entries)})"
-
-    def dual(self) -> IntegerWeight:
-        """The dual weight: negate and reverse.  An involution preserving dominance."""
-        return IntegerWeight(tuple(-a for a in reversed(self.entries)))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

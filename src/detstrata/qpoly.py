@@ -6,10 +6,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, index, sub
+from operator import add, sub
 from typing import Mapping
 
-from .partitions import _size
+from .partitions import _ints, _size
 
 # Most q-binomial coefficients the row cache holds at once, counting stored
 # halves.  The half rows [n, 0] .. [n, n // 2] of a general(n, n) table fit up
@@ -53,14 +53,15 @@ class LaurentPoly:
     trimmed so its first and last entries are nonzero; the zero polynomial is
     the canonical value with an empty run and ``min_exp == 0``.  All
     coefficients are exact Python integers: the exponent and coefficients go
-    through ``operator.index``, so a float or a string raises TypeError.
+    through ``operator.index``, so a float, a string or None raises a
+    TypeError naming ``min_exp`` or ``coeffs``.
     """
 
     min_exp: int = 0
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        min_exp, coeffs = _trim(index(self.min_exp), tuple(map(index, self.coeffs)))
+        min_exp, coeffs = _trim(_size("min_exp", self.min_exp), _ints("coeffs", self.coeffs))
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -74,25 +75,10 @@ class LaurentPoly:
         return poly
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls(0, (1,))
-
-    @classmethod
-    def q_power(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
-        return cls(exponent, (coefficient,))
-
-    @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> LaurentPoly:
-        nonzero = {e: c for e, c in terms.items() if c != 0}
-        if not nonzero:
-            return cls.zero()
-        lo = min(nonzero)
-        hi = max(nonzero)
-        return cls(lo, tuple(nonzero.get(e, 0) for e in range(lo, hi + 1)))
+        """The polynomial with coefficient terms[e] at q**e; zero coefficients may be listed."""
+        lo, hi = min(terms, default=0), max(terms, default=-1)
+        return cls(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)))
 
     @property
     def is_zero(self) -> bool:
@@ -105,7 +91,7 @@ class LaurentPoly:
         return self.min_exp + len(self.coeffs) - 1
 
     def coefficient(self, exponent: int) -> int:
-        k = exponent - self.min_exp
+        k = _size("exponent", exponent) - self.min_exp
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
@@ -115,6 +101,8 @@ class LaurentPoly:
         return [self.min_exp + k for k, c in enumerate(self.coeffs) if c != 0]
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if self.is_zero:
             return other
         if other.is_zero:
@@ -128,15 +116,11 @@ class LaurentPoly:
         out[j:end] = map(add, out[j:end], other.coeffs)
         return LaurentPoly._from_run(lo, tuple(out))
 
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._from_run(self.min_exp, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -147,25 +131,20 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q**k (k may be negative); the coefficient run is shared, not copied."""
-        k = index(k)
-        if self.is_zero:
-            return self
-        return LaurentPoly._from_run(self.min_exp + k, self.coeffs)
+        return LaurentPoly._from_run(self.min_exp + _size("k", k), self.coeffs)
 
     def substitute_power(self, k: int) -> LaurentPoly:
         """Replace q by q**k, scaling every exponent by k >= 1."""
+        k = _size("k", k)
         if k < 1:
             raise ValueError(f"exponent scale must be positive, got {k}")
-        if self.is_zero or k == 1:
-            return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
         out[::k] = self.coeffs
         return LaurentPoly._from_run(self.min_exp * k, tuple(out))
 
     def evaluate(self, x: int) -> int:
         """Exact value at an integer x; x must be +-1 when negative exponents occur."""
-        if self.is_zero:
-            return 0
+        x = _size("x", x)
         if self.min_exp < 0 and x not in (1, -1):
             raise ValueError(
                 f"cannot evaluate negative exponents at x={x}; only x = 1 or -1 stay integral"
@@ -193,10 +172,6 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> LaurentPoly:
-        return cls(data["min_exp"], data["coeffs"])
 
 
 def _half_step(half: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:

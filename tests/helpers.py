@@ -22,6 +22,11 @@ the chain that ``inv_derham_gf_closed`` and ``ic_poincare`` replaced: the
 public ``gauss_binomial``, ``substitute_power`` and ``shift``, with
 parameters from the paper's formulas.  ``fresh_cache`` is no oracle: it gives one test an empty
 q-binomial row cache.
+
+The small value functions after ``fresh_cache`` (``q_power``,
+``difference``, ``poly_from_json``, ``durfee``, ``fits_in``, ``to_weight``,
+``partition_from_json``, ``dual`` and ``identity``) build test values and
+references from the public constructors; the package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ from detstrata import (
     GENERAL,
     SKEW,
     SYMMETRIC,
+    IntegerWeight,
     LaurentPoly,
     MatrixSpace,
+    Partition,
+    StrataMatrix,
     cauchy_exterior,
     gauss_binomial,
     lambda_extension,
@@ -170,6 +178,53 @@ def fresh_cache(monkeypatch):
     return cache
 
 
+def q_power(exponent: int, coefficient: int = 1) -> LaurentPoly:
+    """The monomial coefficient * q**exponent."""
+    return LaurentPoly(exponent, (coefficient,))
+
+
+def difference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a - b, as a plus b with every coefficient negated."""
+    return a + LaurentPoly(b.min_exp, tuple(-c for c in b.coeffs))
+
+
+def poly_from_json(data: dict) -> LaurentPoly:
+    """The polynomial whose ``to_json`` is data."""
+    return LaurentPoly(data["min_exp"], data["coeffs"])
+
+
+def durfee(parts) -> int:
+    """Side length of the largest square inside the Young diagram of weakly decreasing parts."""
+    return sum(1 for i, a in enumerate(parts, start=1) if a >= i)
+
+
+def fits_in(parts, rows: int, cols: int) -> bool:
+    """Whether the diagram of weakly decreasing parts lies in the rows x cols rectangle."""
+    if rows < 0 or cols < 0:
+        raise ValueError("rectangle sides must be nonnegative")
+    return len(parts) <= rows and max(parts, default=0) <= cols
+
+
+def to_weight(partition: Partition, length: int) -> IntegerWeight:
+    """The partition as a dominant weight of the given length, padded with zeros."""
+    return IntegerWeight(partition.pad(length))
+
+
+def partition_from_json(data) -> Partition:
+    """The partition whose ``to_json`` is data."""
+    return Partition(tuple(data))
+
+
+def dual(weight: IntegerWeight) -> IntegerWeight:
+    """The dual weight: negate and reverse, an involution that keeps dominance."""
+    return IntegerWeight(tuple(-a for a in reversed(weight.entries)))
+
+
+def identity(order: int) -> StrataMatrix:
+    """The identity strata matrix of the given order."""
+    return StrataMatrix(tuple(tuple(int(i == j) for j in range(order)) for i in range(order)))
+
+
 def full_product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """All coefficients of [a, b+1] from all those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
 
@@ -202,7 +257,7 @@ def pascal_gauss_binomial(a: int, b: int) -> LaurentPoly:
     Recursive and cached without bound, so only for small a (a <= 60 in the tests).
     """
     if b == 0 or b == a:
-        return LaurentPoly.one()
+        return q_power(0)
     return pascal_gauss_binomial(a - 1, b - 1) + pascal_gauss_binomial(a - 1, b).shift(b)
 
 
@@ -221,9 +276,9 @@ def per_stratum_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
         for i in range(space.dim + 1):
             hits = 0
             for mu in cauchy_exterior(m, n, i):
-                w = mu.to_weight(n)
+                w = to_weight(mu, n)
                 if member_general(w, m, p) and (
-                    mu.conjugate().to_weight(m) == lambda_extension(w, n - p, m)
+                    to_weight(mu.conjugate(), m) == lambda_extension(w, n - p, m)
                 ):
                     hits += 1
             counts[i] = hits
@@ -232,14 +287,14 @@ def per_stratum_gf_enum(space: MatrixSpace, p: int) -> LaurentPoly:
             counts[i] = sum(
                 1
                 for lam in symmetric_exterior_partitions(n, i)
-                if member_symmetric(lam.to_weight(n), p)
+                if member_symmetric(to_weight(lam, n), p)
             )
     else:
         for i in range(space.dim + 1):
             counts[i] = sum(
                 1
                 for lam in skew_exterior_partitions(n, i)
-                if member_skew(lam.to_weight(n), p)
+                if member_skew(to_weight(lam, n), p)
             )
     return LaurentPoly.from_terms(counts)
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 from helpers import (
     fresh_cache,
+    q_power,
     reference_ic_json,
     reference_ic_table,
     reference_matrix_rows,
@@ -397,7 +398,7 @@ class TestDerham:
 
     def test_check_reports_a_mismatch(self, capsys, monkeypatch):
         def perturbed(space, p, real=detstrata.cli.inv_derham_gf_enum):
-            return real(space, p) + LaurentPoly.q_power(3)
+            return real(space, p) + q_power(3)
 
         monkeypatch.setattr(detstrata.cli, "inv_derham_gf_enum", perturbed)
         code, out, err = run(capsys, "derham", "--family", "symm", "--n", "3", "--p", "2", "--check")
@@ -524,7 +525,7 @@ class TestVerify:
     def test_derham_mismatch_names_the_stratum(self, capsys, monkeypatch):
         def perturbed(space, p, real=detstrata.obstructions.inv_derham_gf_enum):
             gf = real(space, p)
-            return gf + LaurentPoly.q_power(3) if p == 1 else gf
+            return gf + q_power(3) if p == 1 else gf
 
         monkeypatch.setattr(detstrata.obstructions, "inv_derham_gf_enum", perturbed)
         code, out, err = run(capsys, "verify", "--family", "symm", "--max", "3")

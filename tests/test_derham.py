@@ -2,7 +2,7 @@ import re
 from math import comb
 
 import pytest
-from helpers import reference_closed_gf
+from helpers import q_power, reference_closed_gf
 
 from detstrata import (
     LaurentPoly,
@@ -47,8 +47,8 @@ class TestClosedForm:
         for n in range(1, 4):
             for m in range(n, 5):
                 sp = MatrixSpace.general(m, n)
-                assert inv_derham_gf_closed(sp, n) == LaurentPoly.one()
-                assert inv_derham_gf_closed(sp, 0) == LaurentPoly.q_power(m * n)
+                assert inv_derham_gf_closed(sp, n) == q_power(0)
+                assert inv_derham_gf_closed(sp, 0) == q_power(m * n)
         assert inv_derham_gf_closed(MatrixSpace.general(3, 2), 1) == poly({2: 1, 4: 1})
 
     def test_symmetric_examples(self):
@@ -56,7 +56,7 @@ class TestClosedForm:
         assert inv_derham_gf_closed(MatrixSpace.symmetric(3), 2) == poly({1: 1, 5: 1})
 
     def test_skew_examples(self):
-        assert inv_derham_gf_closed(MatrixSpace.skew(4), 2) == LaurentPoly.one()
+        assert inv_derham_gf_closed(MatrixSpace.skew(4), 2) == q_power(0)
         assert inv_derham_gf_closed(MatrixSpace.skew(4), 1) == poly({1: 1, 5: 1})
 
     def test_rejects_bad_stratum(self):
@@ -111,7 +111,7 @@ class TestIcPoincare:
     def test_examples(self):
         assert ic_poincare(MatrixSpace.general(2, 2), 2) == poly({-4: 1})
         assert ic_poincare(MatrixSpace.symmetric(2), 1) == poly({-2: 1})
-        assert ic_poincare(MatrixSpace.skew(4), 0) == LaurentPoly.one()
+        assert ic_poincare(MatrixSpace.skew(4), 0) == q_power(0)
 
     def test_shape(self):
         # top coefficient 1 in degree -d_p, nonnegative palindromic coefficients
@@ -146,7 +146,11 @@ class TestEulerCharAtOrigin:
     @pytest.mark.parametrize("dim", [1.5, 2.0, "2", None], ids=repr)
     def test_non_integer_dim_raises_type_error_naming_it(self, dim):
         with pytest.raises(TypeError, match=f"^{re.escape(f'dim must be an integer, got {dim!r}')}$"):
-            euler_char_at_origin(LaurentPoly.one(), dim)
+            euler_char_at_origin(q_power(0), dim)
+
+    def test_negative_dim_is_refused_not_read_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^require dim >= 0, got dim=-1$"):
+            euler_char_at_origin(LaurentPoly(0, (1, 1, 1)), -1)
 
     def test_bool_dim_reads_as_an_int(self):
         gf = LaurentPoly(0, (1, 1, 1))

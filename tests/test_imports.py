@@ -1,9 +1,15 @@
-"""Every module of the package reads each name it imports; checked with ``ast`` alone."""
+"""Every module of the package reads each name it imports, checked with ``ast`` alone.
+
+The value classes keep the public surface listed here: a member added later is listed on purpose.
+"""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from detstrata import IntegerWeight, LaurentPoly, MatrixSpace, Partition, StrataMatrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detstrata"
 # __init__ imports to re-export, so its names are read through __all__ instead
@@ -48,3 +54,25 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((PACKAGE / module).read_text()) == [], module
+
+
+# The names without a leading underscore of each value class, its fields included.
+SURFACE = {
+    LaurentPoly: {
+        "coefficient", "coeffs", "evaluate", "from_terms", "is_zero", "max_exp", "min_exp", "shift",
+        "substitute_power", "support", "to_json",
+    },
+    Partition: {"conjugate", "pad", "parts", "size", "to_json"},
+    IntegerWeight: {"entries"},
+    StrataMatrix: {"entry", "order", "rows", "to_json"},
+    MatrixSpace: {
+        "check_stratum", "dim", "family", "general", "m", "n", "num_strata", "params", "record", "reduced",
+        "skew", "strata", "stratum_dim", "symmetric",
+    },
+}
+
+
+@pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
+def test_value_classes_keep_their_listed_public_surface(cls):
+    public = {name for name in dir(cls) if not name.startswith("_")}
+    assert public | {field.name for field in dataclasses.fields(cls)} == SURFACE[cls]

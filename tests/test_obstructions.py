@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import reference_product
+from helpers import identity, q_power, reference_product
 
 from detstrata import (
     LaurentPoly,
@@ -40,7 +40,7 @@ class TestStrataMatrix:
         b = StrataMatrix(((1, -1), (0, 3)))
         assert a * b == StrataMatrix(((1, 5), (0, 3)))
         with pytest.raises(ValueError):
-            a * StrataMatrix.identity(3)
+            a * identity(3)
 
     @pytest.mark.parametrize("order", range(9))
     def test_product_matches_the_triple_loop(self, order):
@@ -69,7 +69,7 @@ class TestStrataMatrix:
             StrataMatrix(rows)
 
     def test_identity(self):
-        assert StrataMatrix.identity(3).to_json() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert identity(3).to_json() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     @pytest.mark.parametrize("rows", [((1.9,),), (("1",),), ((1, 2.0), (0, 1))])
     def test_rejects_non_integers(self, rows):
@@ -123,8 +123,8 @@ class TestMicroIndices:
         ]
 
     def test_general_and_skew_are_identity(self):
-        assert micro_indices(MatrixSpace.general(3, 2)) == StrataMatrix.identity(3)
-        assert micro_indices(MatrixSpace.skew(4)) == StrataMatrix.identity(3)
+        assert micro_indices(MatrixSpace.general(3, 2)) == identity(3)
+        assert micro_indices(MatrixSpace.skew(4)) == identity(3)
 
     def test_symmetric_superdiagonal_rule(self):
         m = micro_indices(MatrixSpace.symmetric(5))
@@ -229,7 +229,7 @@ class TestChiFromEnumeration:
 
 class TestSolveEuler:
     def test_identity(self):
-        one = StrataMatrix.identity(4)
+        one = identity(4)
         assert solve_euler(one, one) == one
 
     def test_symmetric_two_fixture(self):
@@ -242,11 +242,11 @@ class TestSolveEuler:
 
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError):
-            solve_euler(StrataMatrix.identity(2), StrataMatrix(((2, 0), (0, 1))))
+            solve_euler(identity(2), StrataMatrix(((2, 0), (0, 1))))
 
     def test_rejects_order_mismatch(self):
         with pytest.raises(ValueError):
-            solve_euler(StrataMatrix.identity(2), StrataMatrix.identity(3))
+            solve_euler(identity(2), identity(3))
 
     def test_round_trip_with_product(self):
         for sp in [MatrixSpace.symmetric(4), MatrixSpace.general(4, 2), MatrixSpace.skew(6)]:
@@ -308,7 +308,7 @@ class TestChecks:
 
         def perturbed(space, p):
             gf = real(space, p)
-            return gf + LaurentPoly.q_power(3) if p == 2 else gf
+            return gf + q_power(3) if p == 2 else gf
 
         monkeypatch.setattr(obstructions, "inv_derham_gf_enum", perturbed)
         found = verify(self.SPACE)

@@ -13,7 +13,7 @@ from detstrata import (
 )
 from detstrata.plethysm import _frobenius_weight
 
-from helpers import weyl_dimension
+from helpers import durfee, fits_in, weyl_dimension
 
 
 def parts(seqs):
@@ -72,9 +72,9 @@ class TestSymmetricExterior:
                 assert len(got) == len(set(got))
                 for lam in got:
                     assert lam.size == 2 * i
-                    r = lam.durfee
+                    r = durfee(lam)
                     alpha = Partition(tuple(lam.parts[j] - r - 1 for j in range(r)))
-                    assert alpha.fits_in(r, n - r)
+                    assert fits_in(alpha, r, n - r)
                     assert lam.parts[r:] == alpha.conjugate().parts
                     assert r * r + r + 2 * alpha.size == 2 * i
 
@@ -106,11 +106,11 @@ class TestSkewExterior:
                 assert len(got) == len(set(got))
                 for lam in got:
                     assert lam.size == 2 * i
-                    r = lam.durfee
+                    r = durfee(lam)
                     padded = lam.pad(max(len(lam), r + 1))
                     assert padded[r] == r or r == 0
                     alpha = Partition(tuple(padded[j] - r for j in range(r)))
-                    assert alpha.fits_in(r, n - r - 1)
+                    assert fits_in(alpha, r, n - r - 1)
                     assert padded[r + 1 :] == alpha.conjugate().pad(len(padded) - r - 1)
 
 
@@ -167,7 +167,7 @@ class TestFrobeniusWeight:
                     cols = n - r - 1 + shift
                     for k in range((r + 1) * (cols + 1) + 1):
                         for alpha in enumerate_in_rectangle(r + 1, cols + 1, k):
-                            inside = alpha.fits_in(r, cols)
+                            inside = fits_in(alpha, r, cols)
                             assert (_frobenius_weight(shift, n, r, alpha.parts) is None) != inside
 
 
