@@ -13,7 +13,8 @@ enumeration, which is the end-to-end consistency check of the package, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, mul
+from functools import cache
+from operator import mul
 from typing import Iterator
 
 from .derham import _enum_all, inv_derham_gf_closed, inv_derham_gf_enum
@@ -27,9 +28,10 @@ class StrataMatrix:
     """Square upper-triangular matrix of exact integers, indexed by strata.
 
     Built from any iterable of rows, each an iterable of ints; a float, a
-    string or None raises a TypeError naming ``rows``.  ``rows`` holds them as tuples.  A row of the
-    wrong length raises "matrix must be square" before any cell below the
-    diagonal is read; a nonzero cell there raises naming the first one in
+    text or byte string (even an empty one) or None, as the rows or as a
+    row, raises a TypeError naming ``rows``.  ``rows`` holds them as tuples.
+    A row of the wrong length raises "matrix must be square" before any cell
+    below the diagonal is read; a nonzero cell there raises naming the first one in
     row order.  The matrices this module builds itself are square and upper
     triangular by construction and are wrapped by ``_of`` without these checks.
     """
@@ -37,7 +39,7 @@ class StrataMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = _ints("rows", self.rows, lambda row: tuple(map(index, row)))
+        rows = _ints("rows", self.rows, lambda row: _ints("rows", row))
         if any(map(len(rows).__ne__, map(len, rows))):
             raise ValueError("matrix must be square")
         for i, row in enumerate(rows):
@@ -205,42 +207,51 @@ def solve_euler(chi: StrataMatrix, signed: StrataMatrix) -> StrataMatrix:
     return StrataMatrix._of(tuple(rows))
 
 
-def _first_cell(lhs: StrataMatrix, rhs: StrataMatrix) -> tuple | None:
-    """((i, j), lhs cell, rhs cell) at the first differing cell in row order, or None if lhs == rhs.
+def _first_difference(lhs: tuple, rhs: tuple) -> tuple | None:
+    """(at, lhs value, rhs value) at the first difference in row order, or None if lhs == rhs.
 
-    The matrices have one order.  Equal ones cost one compare of the row tuples.
+    lhs and rhs are tuples of one length: of values, where at is (p,), or of
+    int rows, where at is (i, j).  Equal ones cost one comparison.
     """
-    if lhs == rhs:
-        return None
-    for i, (left, right) in enumerate(zip(lhs.rows, rhs.rows)):
-        if left != right:
-            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-            return (i, j), left[j], right[j]
+    at = ()
+    while isinstance(lhs, tuple) and lhs != rhs:
+        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        at, lhs, rhs = (*at, k), lhs[k], rhs[k]
+    return (at, lhs, rhs) if at else None
 
 
-def _derham(space: MatrixSpace) -> tuple | None:
-    """Each stratum's enumerated generating function against its closed form, in stratum order."""
-    for p in space.strata:
-        enum, closed = inv_derham_gf_enum(space, p), inv_derham_gf_closed(space, p)
-        if enum != closed:
-            return (p,), enum, closed
-    return None
+def _route_values(space: MatrixSpace):
+    """The memo ``value`` that the checks read: value(route) is route(space), built on first read."""
+    return cache(lambda route: route(space))
 
 
-def _index_identity(space: MatrixSpace) -> tuple | None:
+def _gfs(space: MatrixSpace) -> list[tuple]:
+    """Every stratum's enumerated, then closed generating function: two tuples in stratum order."""
+    return [tuple(gf(space, p) for p in space.strata) for gf in (inv_derham_gf_enum, inv_derham_gf_closed)]
+
+
+def _derham(value) -> tuple | None:
+    """Each stratum's enumerated generating function against its closed form."""
+    return _first_difference(*value(_gfs))
+
+
+def _index_identity(value) -> tuple | None:
     """Kashiwara's local index formula chi = E * M on the closed matrices."""
-    return _first_cell(chi_closed(space), euler_closed(space) * signed_micro(space))
+    return _first_difference(value(chi_closed).rows, (value(euler_closed) * value(signed_micro)).rows)
 
 
-def _euler(space: MatrixSpace) -> tuple | None:
+def _euler(value) -> tuple | None:
     """E solved from the enumerated chi against the closed E."""
-    return _first_cell(solve_euler(chi_from_enumeration(space), signed_micro(space)), euler_closed(space))
+    solved = solve_euler(value(chi_from_enumeration), value(signed_micro))
+    return _first_difference(solved.rows, value(euler_closed).rows)
 
 
 # The two-route checks of ``verify``, in the order it runs them: each is
-# (name, (first, second), check), where ``check(space)`` returns None or
+# (name, (first, second), check), where ``check(value)`` returns None or
 # (at, first value, second value), and first and second name those values.
-# The checks read the routes from this module's globals at call time.
+# ``value`` is a memo from ``_route_values``, so each route is built at most
+# once per ``verify`` call.  The checks read the routes from this module's
+# globals at call time.
 CHECKS = (
     ("derham", ("enum", "closed"), _derham),
     ("index identity", ("chi", "euler*signed"), _index_identity),
@@ -250,7 +261,7 @@ CHECKS = (
 
 def verify_index_identity(space: MatrixSpace) -> bool:
     """Whether chi = euler * signed_micro holds entrywise for the closed forms."""
-    return _index_identity(_instance("space", space, MatrixSpace)) is None
+    return _index_identity(_route_values(_instance("space", space, MatrixSpace))) is None
 
 
 @dataclass(frozen=True)
@@ -274,9 +285,8 @@ class Mismatch:
 
 def verify(space: MatrixSpace) -> Mismatch | None:
     """Run the checks of ``CHECKS`` on one space in order; return the first disagreement, or None."""
-    _instance("space", space, MatrixSpace)
+    value = _route_values(_instance("space", space, MatrixSpace))
     for name, _, check in CHECKS:
-        found = check(space)
-        if found is not None:
+        if (found := check(value)) is not None:
             return Mismatch(space, name, *found)
     return None

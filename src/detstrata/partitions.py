@@ -22,10 +22,12 @@ def _ints(name: str, values, item=index) -> tuple:
     """tuple(map(item, values)); a TypeError names the argument.
 
     item reads each entry through ``operator.index``.  values that are not
-    iterable, or an entry that item refuses (a float, a string, None), raise;
-    a bool reads as 0 or 1.
+    iterable or are a text or byte string, or an entry that item refuses (a
+    float, a string, None), raise; a bool reads as 0 or 1.
     """
     try:
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError
         return tuple(map(item, values))
     except TypeError:
         raise TypeError(f"{name} must hold only integers, got {values!r}") from None

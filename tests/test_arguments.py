@@ -151,6 +151,15 @@ CONSTRUCTIONS = [
     (StrataMatrix, ((None,),), "rows"),
     (StrataMatrix, (((1.5,),),), "rows"),
     (StrataMatrix, (((1, "2"), (0, 1)),), "rows"),
+    # text and byte strings iterate as characters or ints, so each is refused before it is read
+    (Partition, ("",), "parts"),
+    (Partition, (b"\x03\x01",), "parts"),
+    (IntegerWeight, ("",), "entries"),
+    (IntegerWeight, (b"\x02\x01",), "entries"),
+    (LaurentPoly, (0, ""), "coeffs"),
+    (LaurentPoly, (0, b"\x01\x02"), "coeffs"),
+    (StrataMatrix, ("",), "rows"),
+    (StrataMatrix, ([b"\x01"],), "rows"),
 ]
 
 

@@ -294,7 +294,8 @@ class TestChecks:
     SPACE = MatrixSpace.symmetric(3)
 
     def fired(self):
-        return [check(self.SPACE) is not None for _, _, check in obstructions.CHECKS]
+        value = obstructions._route_values(self.SPACE)
+        return [check(value) is not None for _, _, check in obstructions.CHECKS]
 
     def test_names_in_order(self):
         assert [name for name, _, _ in obstructions.CHECKS] == ["derham", "index identity", "euler"]
@@ -316,6 +317,34 @@ class TestChecks:
         assert found == Mismatch(self.SPACE, "derham", (2,), enum, closed)
         assert str(found) == "symmetric(3) derham p=2: enum=q + q^3 + q^5, closed=q + q^5"
         assert self.fired() == [True, False, False]
+
+    def test_derham_reports_the_first_perturbed_stratum(self, monkeypatch):
+        real = obstructions.inv_derham_gf_enum
+
+        def perturbed(space, p):
+            gf = real(space, p)
+            return gf + q_power(3) if p in (1, 2) else gf
+
+        monkeypatch.setattr(obstructions, "inv_derham_gf_enum", perturbed)
+        found = verify(self.SPACE)
+        assert found == Mismatch(self.SPACE, "derham", (1,), LaurentPoly(3, (2,)), LaurentPoly(3, (1,)))
+        assert str(found) == "symmetric(3) derham p=1: enum=2*q^3, closed=q^3"
+        assert self.fired() == [True, False, False]
+
+    def test_verify_builds_each_matrix_route_once(self, monkeypatch):
+        routes = ("chi_closed", "euler_closed", "signed_micro", "chi_from_enumeration")
+        calls = dict.fromkeys(routes, 0)
+
+        def counted(name, real):
+            def route(space):
+                calls[name] += 1
+                return real(space)
+            return route
+
+        for name in routes:
+            monkeypatch.setattr(obstructions, name, counted(name, getattr(obstructions, name)))
+        assert verify(self.SPACE) is None
+        assert calls == dict.fromkeys(routes, 1)
 
     @pytest.mark.parametrize("route, cells, check, at, first, second, text, fired", [
         # e_{1,3} = 2 makes (E M)_{1,3} = 2 against chi_{1,3} = 1; the euler check sees it too
