@@ -9,18 +9,20 @@ holds when it bounds the entry from above (the entry reads -infinity); each
 predicate writes these boundaries as integer tests on the index, which makes
 the extreme strata (the whole space and the origin) come out right.
 
-Candidate rules list the summands that can satisfy stratum p's conditions,
+Candidate rules yield the summands that can satisfy stratum p's conditions,
 derived from those conditions alone, with the argument that no member is
 missed and no summand is produced twice written in the rule's docstring:
 ``_general_candidates`` for general matrices, and ``_durfee_candidates`` for
 symmetric and skew-symmetric ones, whose summands share one Frobenius form.
 The enumeration route still applies the full predicate to every candidate,
-so a rule that produced too much would cost time, never a count.
+so a rule that produced too much would cost time, never a count.  It counts
+each candidate as it is yielded, so it holds one candidate per stratum at a
+time, never the stratum's whole candidate set.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions, _instance, _size
 
@@ -62,7 +64,7 @@ def _member_general(w: tuple[int, ...], m: int, p: int) -> bool:
     return (k == 0 or w[k - 1] >= m - p) and (p == 0 or w[k] <= k)
 
 
-def _general_candidates(n: int, m: int, p: int) -> list[tuple[int, ...]]:
+def _general_candidates(n: int, m: int, p: int) -> Iterator[tuple[int, ...]]:
     """Candidate summands mu (raw parts) of wedge(F1 (x) F2) for stratum p of m x n matrices.
 
     Soundness.  Let s = n - p and d = m - n.  A member mu has w_s >= m - p,
@@ -79,13 +81,11 @@ def _general_candidates(n: int, m: int, p: int) -> list[tuple[int, ...]]:
     for one leg in the p x s box; each leg is used once and gives a
     different mu, so no summand is produced twice.
     """
-    s = n - p
-    out = []
+    s, top = n - p, m - p
     for k in range(p * s + 1):
         for leg in _box_partitions(p, s, k):
             arm = _conjugate(leg)
-            out.append(tuple(m - p + a for a in arm) + (m - p,) * (s - len(arm)) + leg)
-    return out
+            yield tuple(map(top.__add__, arm)) + (top,) * (s - len(arm)) + leg
 
 
 def member_general(w: IntegerWeight, m: int, p: int) -> bool:
@@ -173,7 +173,7 @@ def member_skew(w: IntegerWeight, p: int) -> bool:
     return _member_skew(w.entries, None, p)
 
 
-def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[int, ...]]]:
+def _durfee_candidates(n: int, rank: int, shift: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Candidate summands (r, alpha) for the stratum of rank ``rank`` of symmetric or skew matrices.
 
     The summands of wedge(Sym^2 F) (shift 1) and wedge(wedge^2 F) (shift 0)
@@ -223,18 +223,17 @@ def _durfee_candidates(n: int, rank: int, shift: int) -> list[tuple[int, tuple[i
     of even rows and even columns inside r0 x rank (when r0 >= 0), or, when
     r0 is odd and r0 + 1 < n, (r0 + 1, alpha) with alpha a full first column
     plus even rows and even columns inside (r0 + 1) x (rank - 2).  Each case
-    lists each such alpha once (_doubled_partitions), and the two cases
+    yields each such alpha once (_doubled_partitions), and the two cases
     differ in r, so no summand is produced twice.
     """
     r = n - rank - 1 + shift
-    out = [(r, alpha) for alpha in _doubled_partitions(r, rank)] if r >= 0 else []
+    if r >= 0:
+        for alpha in _doubled_partitions(r, rank):
+            yield r, alpha
     if r % 2 == 1 and r + 1 < n:
         r += 1
-        out += [
-            (r, tuple(a + 1 for a in alpha) + (1,) * (r - len(alpha)))
-            for alpha in _doubled_partitions(r, rank - 2)
-        ]
-    return out
+        for alpha in _doubled_partitions(r, rank - 2):
+            yield r, tuple(map((1).__add__, alpha)) + (1,) * (r - len(alpha))
 
 
 def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:

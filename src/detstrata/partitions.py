@@ -22,11 +22,11 @@ def _ints(name: str, values, item=index) -> tuple:
     """tuple(map(item, values)); a TypeError names the argument.
 
     item reads each entry through ``operator.index``.  values that are not
-    iterable or are a text or byte string, or an entry that item refuses (a
-    float, a string, None), raise; a bool reads as 0 or 1.
+    iterable or are a text or byte string or a memoryview, or an entry that
+    item refuses (a float, a string, None), raise; a bool reads as 0 or 1.
     """
     try:
-        if isinstance(values, (str, bytes, bytearray)):
+        if isinstance(values, (str, bytes, bytearray, memoryview)):
             raise TypeError
         return tuple(map(item, values))
     except TypeError:
@@ -169,7 +169,7 @@ def _in_box(parts: tuple[int, ...], rows: int, cols: int) -> bool:
     return all(map(ge, (cols,) + parts, parts)) and (not parts or parts[-1] > 0)
 
 
-def _doubled_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
+def _doubled_partitions(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
     """Parts of every partition inside the rows x cols box with all rows and columns of even length.
 
     Columns of even length only means the rows come in equal pairs
@@ -177,14 +177,14 @@ def _doubled_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
     have length exactly j.  With every row even as well, the partition is
     the 2 x 2 blow-up of beta_i = parts[2i] / 2, and beta lies in the
     floor(rows / 2) x floor(cols / 2) box.  So the blow-ups of that box's
-    partitions are all of them, each once.
+    partitions are all of them, each once, yielded one at a time.
     """
     half_rows, half_cols = rows // 2, cols // 2
-    return [
+    return (
         tuple(2 * b for b in beta for _ in (0, 1))
         for k in range(half_rows * half_cols + 1)
         for beta in _box_partitions(half_rows, half_cols, k)
-    ]
+    )
 
 
 def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:

@@ -5,10 +5,11 @@ products, semistandard tableaux, brute-force symmetric powers) so the library
 is checked against code that shares none of its internals.  Five exceptions
 check a fast route against the slow one it replaced: the Pascal recursion for
 q-binomials, which uses ``LaurentPoly`` addition and shifts to check the
-product-step route of ``gauss_binomial``; the full-row product step, which
-the half-row store of ``qpoly`` replaced; and the per-stratum enumeration,
-which uses the validated public ``Partition``, plethysm and ``member_*`` calls
-to check the one-pass raw-tuple route of ``inv_derham_gf_enum``.  Those public
+product-step route of ``gauss_binomial``; the same recursion on whole
+coefficient rows as list operations, which the half-row store of ``qpoly``
+must match; and the per-stratum enumeration, which uses the validated public
+``Partition``, plethysm and ``member_*`` calls to check the one-pass
+raw-tuple route of ``inv_derham_gf_enum``.  Those public
 calls wrap the same builders and predicates as the route (checked on their own
 in ``test_plethysm`` and ``test_characters``), so this oracle checks the one
 pass: padding, conjugates, and the counting of each summand per stratum.
@@ -34,9 +35,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import add
+from typing import Iterator
 
 from detstrata import (
     GENERAL,
@@ -225,29 +227,24 @@ def identity(order: int) -> StrataMatrix:
     return StrataMatrix(tuple(tuple(int(i == j) for j in range(order)) for i in range(order)))
 
 
-def full_product_step(c: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """All coefficients of [a, b+1] from all those of [a, b]: c * (1 - q^(a-b)) / (1 - q^(b+1)).
+def pascal_rows(top: int) -> Iterator[list[tuple[int, ...]]]:
+    """For a = 0, ..., top in turn: all coefficients of [a, 0], ..., [a, a // 2].
 
-    Multiplying by 1 - q^k turns coefficient e into m[e] = c[e] - c[e-k].
-    The division by 1 - q^j is exact, so the quotient is j terms shorter and
-    satisfies p[e] = m[e] + p[e-j]: a running sum along each residue class of
-    exponents mod j.
+    Each row of a comes from two rows of a - 1 by the Pascal-type recursion
+    [a, b] = [a-1, b-1] + q**b [a-1, b], written as list operations, with
+    [a-1, b] read as [a-1, a-1-b] past the middle.  The shifted term ends
+    where [a, b] does, at degree b (a - b).
     """
-    k, j = a - b, b + 1
-    out = list(c) + [0] * k
-    out[k:] = map(sub, out[k:], c)
-    del out[-j:]
-    for r in range(j):
-        out[r::j] = accumulate(out[r::j])
-    return tuple(out)
-
-
-def full_step_rows(a: int) -> list[tuple[int, ...]]:
-    """All coefficients of [a, 0], ..., [a, a // 2], each by ``full_product_step`` from the last."""
     rows = [(1,)]
-    for b in range(a // 2):
-        rows.append(full_product_step(rows[-1], a, b))
-    return rows
+    yield rows
+    for a in range(1, top + 1):
+        prev, rows = rows, [(1,)]
+        for b in range(1, a // 2 + 1):
+            low, high = prev[b - 1], prev[min(b, a - 1 - b)]
+            out = list(low) + [0] * (b * (a - b) + 1 - len(low))
+            out[b:] = map(add, out[b:], high)
+            rows.append(tuple(out))
+        yield rows
 
 
 @lru_cache(maxsize=None)

@@ -160,11 +160,18 @@ CONSTRUCTIONS = [
     (LaurentPoly, (0, b"\x01\x02"), "coeffs"),
     (StrataMatrix, ("",), "rows"),
     (StrataMatrix, ([b"\x01"],), "rows"),
+    # a memoryview of bytes iterates as ints, so it is refused as well
+    (Partition, (memoryview(b"\x03\x01"),), "parts"),
+    (IntegerWeight, (memoryview(b"\x02\x01"),), "entries"),
+    (LaurentPoly, (0, memoryview(b"\x01\x02")), "coeffs"),
+    (StrataMatrix, ([memoryview(b"\x01")],), "rows"),
 ]
 
 
 @pytest.mark.parametrize("cls, args, name", CONSTRUCTIONS,
-                         ids=[f"{cls.__name__}{args!r}" for cls, args, _ in CONSTRUCTIONS])
+                         # a memoryview's repr holds its address, so its id names the type
+                         ids=[re.sub(r"<memory at \w+>", "memoryview", f"{cls.__name__}{args!r}")
+                              for cls, args, _ in CONSTRUCTIONS])
 def test_constructors_name_the_field_they_refuse(cls, args, name):
     value = args[[*inspect.signature(cls).parameters].index(name)]
     expected = f"{name} must (be an integer|hold only integers), got {re.escape(repr(value))}"

@@ -228,7 +228,7 @@ class TestCandidateRules:
                         and to_weight(mu.conjugate(), m)
                         == lambda_extension(to_weight(mu, n), n - p, m)
                     }
-                    got = _general_candidates(n, m, p)
+                    got = list(_general_candidates(n, m, p))
                     assert len(got) == len(set(got))
                     assert members <= set(got), (m, n, p)
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from helpers import per_stratum_gf_enum
@@ -218,6 +219,23 @@ class TestLeafCheckIsLive:
                     assert poly.is_zero, (str(space), p)
                 else:
                     assert poly == per_stratum_gf_enum(space, p), (str(space), p)
+
+
+def test_a_pass_holds_one_candidate_at_a_time():
+    # symmetric(26) has 16,383 candidates, 1,716 in its largest stratum: a list of one
+    # stratum's candidates peaked at about 540 KB, a streamed pass at about 110-140 KB.
+    # The two passes before tracing fill the free lists of small tuples, which
+    # tracemalloc would otherwise count as held.
+    space = MatrixSpace.symmetric(26)
+    expected = derham._enum_all.__wrapped__(space)
+    derham._enum_all.__wrapped__(space)
+    tracemalloc.start()
+    try:
+        assert derham._enum_all.__wrapped__(space) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 1024, peak
 
 
 def test_two_routes_agree_far_beyond_the_acceptance_range():

@@ -165,7 +165,7 @@ class TestRawBoxHelpers:
                     if all(a % 2 == 0 for a in p.parts)
                     and all(a % 2 == 0 for a in p.conjugate().parts)
                 }
-                got = _doubled_partitions(rows, cols)
+                got = list(_doubled_partitions(rows, cols))
                 assert len(got) == len(set(got))
                 assert set(got) == expected, (rows, cols)
 

@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from helpers import difference, fresh_cache, full_step_rows, pascal_gauss_binomial, poly_from_json, q_power
+from helpers import difference, fresh_cache, pascal_gauss_binomial, pascal_rows, poly_from_json, q_power
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -373,7 +373,7 @@ class TestProductStep:
             monkeypatch.setattr(qpoly, "_ROW_CACHE_COEFFS", cap)
         pairs = [(a, b) for a in range(61) for b in range(a + 1)]
         random.Random(2105).shuffle(pairs)
-        reference = {a: full_step_rows(a) for a in range(61)}
+        reference = dict(enumerate(pascal_rows(60)))
         seen: set[int] = set()
         events = {"extend": 0, "evict": 0, "rebuild": 0}
         for a, b in pairs:
@@ -397,8 +397,8 @@ class TestProductStep:
 
     @pytest.mark.slow
     def test_half_rows_match_the_full_step_up_to_200(self, fresh_rows):
-        for a in range(201):
-            for b, full in enumerate(full_step_rows(a)):
+        for a, rows in enumerate(pascal_rows(200)):
+            for b, full in enumerate(rows):
                 assert qpoly._half_row(a, b) == (full[: half_size(a, b)], len(full)), (a, b)
         assert fresh_rows.held == cache_held(fresh_rows)
         assert fresh_rows.held <= max(qpoly._ROW_CACHE_COEFFS, prefix_size(200, 100))
