@@ -17,7 +17,9 @@ symmetric and skew-symmetric ones, whose summands share one Frobenius form.
 The enumeration route still applies the full predicate to every candidate,
 so a rule that produced too much would cost time, never a count.  It counts
 each candidate as it is yielded, so it holds one candidate per stratum at a
-time, never the stratum's whole candidate set.
+time, never the stratum's whole candidate set.  Each rule walks its box of
+legs or halved partitions once (``partitions._box_partitions``), which holds
+one partition at a time, so no size class is listed either.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ def _general_candidates(n: int, m: int, p: int) -> Iterator[tuple[int, ...]]:
     different mu, so no summand is produced twice.
     """
     s, top = n - p, m - p
-    for k in range(p * s + 1):
-        for leg in _box_partitions(p, s, k):
-            arm = _conjugate(leg)
-            yield tuple(map(top.__add__, arm)) + (top,) * (s - len(arm)) + leg
+    for leg in _box_partitions(p, s, 0, p * s):
+        arm = _conjugate(leg)
+        yield tuple(map(top.__add__, arm)) + (top,) * (s - len(arm)) + leg
 
 
 def member_general(w: IntegerWeight, m: int, p: int) -> bool:

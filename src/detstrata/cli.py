@@ -287,10 +287,18 @@ def main(argv: list[str] | None = None) -> int:
     ValueError for a refusal, its own or the library's, and that too is
     reported here as a usage error of its subcommand.  When stdout is a pipe
     whose reader has closed it, the rest of the output goes to
-    ``os.devnull`` and no traceback is printed.
+    ``os.devnull`` and no traceback is printed.  argv that is a text or byte
+    string, is not iterable or holds an item that is not a str raises a
+    TypeError naming it.
     """
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        if isinstance(argv, (str, bytes)):
+            raise TypeError
+        argv = list(map(str.__str__, argv))  # one pass, which refuses an item that is not a str
+    except TypeError:
+        raise TypeError(f"argv must hold only strings, got {argv!r}") from None
     args = _read(argv) or _parser().parse_args(argv)
     try:
         code = args.handler(args)

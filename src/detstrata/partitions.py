@@ -130,32 +130,36 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _box_partitions(rows: int, cols: int, k: int) -> list[tuple[int, ...]]:
-    """Parts of every partition of k inside the rows x cols box, lexicographically decreasing.
+def _box_partitions(rows: int, cols: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Parts of every partition inside the rows x cols box with lo <= size <= hi, one at a time.
 
     Unvalidated raw tuples without trailing zeros, for the enumeration route.
-    The parts chosen so far are the walk's only stack, so a long partition
-    costs no recursion depth.
+    One walk over the box: a prefix is yielded as soon as its size reaches
+    lo, before its extensions, and larger parts come before smaller ones, so
+    with lo == hi the partitions come lexicographically decreasing.  A part
+    is tried only if it keeps the size at most hi and the rows left can still
+    bring it to lo, so with lo <= hi every prefix walked leads to a partition
+    yielded.  The parts chosen so far are the walk's only stack, so a long
+    partition costs no recursion depth and the walk holds one partition at a
+    time.
     """
-    out: list[tuple[int, ...]] = []
     parts: list[int] = []
-    remaining = k
-    a = min(cols, k)  # the next part to try: at most the last part and what is left
+    total = 0
+    a = min(cols, hi)  # the next part to try: at most the last part and what hi leaves
     while True:
+        if lo <= total <= hi:
+            yield tuple(parts)
         rows_left = rows - len(parts)
-        if remaining == 0:
-            out.append(tuple(parts))
-        # a part large enough that the remaining rows can absorb the rest
-        elif rows_left > 0 and a > 0 and a * rows_left >= remaining:
-            parts.append(a)
-            remaining -= a
-            a = min(a, remaining)
-            continue
-        # Nothing more below this prefix: back up one part and try it one smaller.
-        if not parts:
-            return out
-        a = parts.pop() - 1
-        remaining += a + 1
+        # Back up until a part fits: within hi, and large enough that the rows left can reach lo.
+        while not (rows_left > 0 and a > 0 and total + a * rows_left >= lo):
+            if not parts:
+                return
+            a = parts.pop() - 1
+            total -= a + 1
+            rows_left += 1
+        parts.append(a)
+        total += a
+        a = min(a, hi - total)
 
 
 def _in_box(parts: tuple[int, ...], rows: int, cols: int) -> bool:
@@ -177,19 +181,22 @@ def _doubled_partitions(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
     have length exactly j.  With every row even as well, the partition is
     the 2 x 2 blow-up of beta_i = parts[2i] / 2, and beta lies in the
     floor(rows / 2) x floor(cols / 2) box.  So the blow-ups of that box's
-    partitions are all of them, each once, yielded one at a time.
+    partitions are all of them, each once, yielded one at a time from one
+    walk over that box.
     """
     half_rows, half_cols = rows // 2, cols // 2
     return (
         tuple(2 * b for b in beta for _ in (0, 1))
-        for k in range(half_rows * half_cols + 1)
-        for beta in _box_partitions(half_rows, half_cols, k)
+        for beta in _box_partitions(half_rows, half_cols, 0, half_rows * half_cols)
     )
 
 
 def enumerate_in_rectangle(rows: int, cols: int, k: int) -> list[Partition]:
-    """All partitions of size k inside the rows x cols box, lexicographically decreasing."""
+    """All partitions of size k inside the rows x cols box, lexicographically decreasing.
+
+    They come from one walk over the box with the size window k..k.
+    """
     rows, cols, k = _size("rows", rows), _size("cols", cols), _size("k", k)
     if rows < 0 or cols < 0 or k < 0:
         raise ValueError("rows, cols, k must be nonnegative")
-    return [Partition(parts) for parts in _box_partitions(rows, cols, k)]
+    return [Partition(parts) for parts in _box_partitions(rows, cols, k, k)]

@@ -50,9 +50,8 @@ def _exterior_weights(shift: int, n: int, i: int) -> list[tuple[int, ...]]:
     out = []
     r = 0
     while r * (r + 1) <= 2 * i:
-        rest = 2 * i - r * (r + 1)
-        # r^2 + r is even, so rest is always even
-        alphas = _box_partitions(r, n - r - 1 + shift, rest // 2)
+        size = i - r * (r + 1) // 2  # r^2 + r is even, so |alpha| is a whole number
+        alphas = _box_partitions(r, n - r - 1 + shift, size, size)
         out += [_frobenius_weight(shift, n, r, alpha) for alpha in alphas]
         r += 1
     return out

@@ -5,7 +5,8 @@ the methods that take an integer.  A float, a string or None raises a
 TypeError that names the argument; a bool reads as 0 or 1.  A weight,
 partition, space, polynomial or matrix argument of any other type raises a
 TypeError that names it, too, and the arithmetic operators refuse a foreign
-operand.  The last test walks every public callable with drawn arguments.
+operand.  ``cli.main`` names an argv that is not a list of strings.  The
+last test walks every public callable with drawn arguments.
 """
 
 import inspect
@@ -46,6 +47,7 @@ from detstrata import (
     verify,
     verify_index_identity,
 )
+from detstrata.cli import main
 
 W = IntegerWeight((2, 1, 0))
 
@@ -206,6 +208,21 @@ METHOD_CALLS = [
 def test_methods_name_a_bad_argument_and_refuse_foreign_operands(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# argv values that are no list of strings: a non-string item, byte strings, no iterable, one text string
+BAD_ARGVS = [
+    ["derham", "--family", "general", "--n", "2", "--m", "2", "--p", 1],
+    [b"verify", b"--family"],
+    5,
+    "verify --family symm --max 2",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=repr)
+def test_main_names_an_argv_that_is_not_a_list_of_strings(argv):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'argv must hold only strings, got {argv!r}')}$"):
+        main(argv)
 
 
 # Valid values for each annotated parameter type; every parameter also draws from DRAWN.

@@ -1,9 +1,12 @@
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from detstrata import IntegerWeight, Partition, enumerate_in_rectangle, gauss_binomial
-from detstrata.partitions import _doubled_partitions, _in_box
+from detstrata.partitions import _box_partitions, _doubled_partitions, _in_box
 
 from helpers import dual, durfee, fits_in, partition_from_json, to_weight
 
@@ -155,6 +158,35 @@ class TestRawBoxHelpers:
         assert not _in_box((), 2, -1)
         assert not _in_box((), -1, 2)
         assert _in_box((), 0, 0)
+
+    def test_box_walk_matches_a_brute_force_listing_in_every_window(self):
+        """Each partition once, decreasing within one size, and every prefix before its extensions."""
+        for rows in range(7):
+            for cols in range(7):
+                # a partition is a multiset of at most rows parts from 1..cols, written decreasing
+                box = [tuple(reversed(parts)) for length in range(rows + 1)
+                       for parts in combinations_with_replacement(range(1, cols + 1), length)]
+                top = rows * cols + 1
+                for lo in range(top + 1):
+                    for hi in range(lo, top + 1):
+                        got = list(_box_partitions(rows, cols, lo, hi))
+                        assert sorted(got) == sorted(p for p in box if lo <= sum(p) <= hi), (rows, cols, lo, hi)
+                        if lo == hi:
+                            assert got == sorted(got, reverse=True)
+                order = {parts: i for i, parts in enumerate(_box_partitions(rows, cols, 0, rows * cols))}
+                assert all(order[parts[:-1]] < order[parts] for parts in box if parts)
+
+    @pytest.mark.parametrize("lo, hi, count", [(40, 40, 1667), (0, 81, 48620)])
+    def test_box_walk_holds_one_partition_at_a_time(self, lo, hi, count):
+        """The walk over the 9 x 9 box lists no size class: its peak is far below one class's 184 KB."""
+        walk = _box_partitions(9, 9, lo, hi)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in walk) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
 
     def test_doubled_partitions_are_those_with_even_rows_and_columns(self):
         for rows in range(7):
