@@ -104,20 +104,17 @@ def member_general(w: IntegerWeight, m: int, p: int) -> bool:
 def _member_symmetric(w: tuple[int, ...], m: int | None, p: int) -> bool:
     """member_symmetric on a raw tuple, for 0 <= p <= len(w) (not checked); m is ignored.
 
-    Entry n - p is +inf when p = n; entries n - p + 1 and n - p + 2 are
-    -inf past the end.
+    With k = n - p, the parities are one test per block: for k odd the whole
+    of w is even; for k even the slice w[:k] is odd and w[k:] even.  Entry
+    n - p is +inf when p = n; entries n - p + 1 and n - p + 2 are -inf past
+    the end.
     """
     n = len(w)
     k = n - p
     if k % 2 == 1:
-        if any(a % 2 != 0 for a in w):
-            return False
-        return w[k - 1] >= k + 1 and (k + 2 > n or w[k + 1] <= k + 1)
-    if any(w[i] % 2 != 1 for i in range(k)):
-        return False
-    if any(w[i] % 2 != 0 for i in range(k, n)):
-        return False
-    return (k == 0 or w[k - 1] >= k + 1) and (p == 0 or w[k] <= k)
+        return all(a % 2 == 0 for a in w) and w[k - 1] >= k + 1 and (k + 2 > n or w[k + 1] <= k + 1)
+    return (all(a % 2 == 1 for a in w[:k]) and all(a % 2 == 0 for a in w[k:])
+            and (k == 0 or w[k - 1] >= k + 1) and (p == 0 or w[k] <= k))
 
 
 def member_symmetric(w: IntegerWeight, p: int) -> bool:
@@ -137,25 +134,17 @@ def member_symmetric(w: IntegerWeight, p: int) -> bool:
 def _member_skew(w: tuple[int, ...], m: int | None, p: int) -> bool:
     """member_skew on a raw tuple, for 0 <= p <= len(w) // 2 (not checked); m is ignored.
 
-    For n even, entry n - 2p is +inf when 2p = n and entry n - 2p + 1 is
-    -inf when p = 0; for n odd both pinned indices lie inside the weight.
+    With k = n - 2p, the pairings are slice equalities.  For n even they are
+    w[0::2] == w[1::2]; entry n - 2p is +inf when 2p = n and entry
+    n - 2p + 1 is -inf when p = 0.  For n odd the pivot w[k-1] == k - 1 is
+    pinned, with w[:k-1:2] == w[1:k-1:2] above it and w[k::2] == w[k+1::2]
+    below it; both pinned indices lie inside the weight.
     """
     n = len(w)
-    half = n // 2
     k = n - 2 * p
     if n % 2 == 0:
-        if any(w[2 * i] != w[2 * i + 1] for i in range(half)):
-            return False
-        return (k == 0 or w[k - 1] >= k - 1) and (p == 0 or w[k] <= k)
-    if w[k - 1] != k - 1:
-        return False
-    for i in range(1, half - p + 1):
-        if w[2 * i - 2] != w[2 * i - 1]:
-            return False
-    for i in range(half - p + 1, half + 1):
-        if w[2 * i - 1] != w[2 * i]:
-            return False
-    return True
+        return w[0::2] == w[1::2] and (k == 0 or w[k - 1] >= k - 1) and (p == 0 or w[k] <= k)
+    return w[k - 1] == k - 1 and w[:k - 1:2] == w[1:k - 1:2] and w[k::2] == w[k + 1::2]
 
 
 def member_skew(w: IntegerWeight, p: int) -> bool:

@@ -28,6 +28,9 @@ The small value functions after ``fresh_cache`` (``q_power``,
 ``difference``, ``poly_from_json``, ``durfee``, ``fits_in``, ``to_weight``,
 ``partition_from_json``, ``dual`` and ``identity``) build test values and
 references from the public constructors; the package itself needs none of them.
+``restated_member_symmetric`` and ``restated_member_skew`` restate the
+symmetric and skew member conditions entry by entry, with the infinite
+boundary entries written out, for the predicate tests of ``test_characters``.
 """
 
 from __future__ import annotations
@@ -171,6 +174,47 @@ def wedge2_weights(n: int) -> list[tuple[int, ...]]:
 def dominant_box(n: int, bound: int = 6):
     """All weakly decreasing integer n-tuples with entries in [-bound, bound]."""
     return combinations_with_replacement(range(bound, -bound - 1, -1), n)
+
+
+def restated_member_symmetric(entries: tuple[int, ...], p: int) -> bool:
+    """The stratum-p conditions for symmetric n x n matrices, restated on dominant entries.
+
+    Entry 0 reads +inf and entries n + 1, n + 2 read -inf.
+    """
+    n = len(entries)
+    e = [float("inf"), *entries, float("-inf"), float("-inf")]
+    k = n - p
+    if k % 2 == 1:
+        return (
+            all(a % 2 == 0 for a in entries)
+            and e[k] >= k + 1 and e[k + 2] <= k + 1
+        )
+    return (
+        all(a % 2 == 1 for a in entries[:k])
+        and all(a % 2 == 0 for a in entries[k:])
+        and e[k] >= k + 1 and e[k + 1] <= k
+    )
+
+
+def restated_member_skew(entries: tuple[int, ...], p: int) -> bool:
+    """The stratum-p conditions for skew-symmetric n x n matrices, restated on dominant entries.
+
+    Entry 0 reads +inf and entry n + 1 reads -inf.
+    """
+    n = len(entries)
+    e = [float("inf"), *entries, float("-inf")]
+    k = n - 2 * p
+    if n % 2 == 0:
+        return (
+            all(e[i] == e[i + 1] for i in range(1, n, 2))
+            and e[k] >= k - 1 and e[k + 1] <= k
+        )
+    # pairs w_1 = w_2, ... above the pivot k, w_{k+1} = w_{k+2}, ... below
+    return (
+        e[k] == k - 1
+        and all(e[i] == e[i + 1] for i in range(1, k, 2))
+        and all(e[i] == e[i + 1] for i in range(k + 1, n, 2))
+    )
 
 
 def fresh_cache(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -17,12 +18,14 @@ from detstrata import (
     symmetric_exterior_partitions,
 )
 from detstrata.characters import _durfee_candidates, _general_candidates
-from detstrata.plethysm import _frobenius_weight
+from detstrata.plethysm import _exterior_weights, _frobenius_weight
 
 from helpers import (
     decompose_into_schur,
     dominant_box,
     dual,
+    restated_member_skew,
+    restated_member_symmetric,
     sym2_weights,
     sym_power_character,
     to_weight,
@@ -32,6 +35,58 @@ from helpers import (
 
 def W(*entries):
     return IntegerWeight(entries)
+
+
+def decreasing(values):
+    return tuple(sorted(values, reverse=True))
+
+
+def random_symmetric_weight(rng, n):
+    """A dominant weight with the parities of a random stratum.
+
+    With k = n - p: every entry even for k odd, else the first k entries odd and the rest even.
+    """
+    k = rng.randint(0, n)
+    j = 0 if k % 2 else k  # the count of odd entries, on top
+    below = decreasing(2 * rng.randint(0, n) for _ in range(n - j))
+    floor = below[0] if below else 0
+    return decreasing(floor + 1 + 2 * rng.randint(0, n) for _ in range(j)) + below
+
+
+def random_skew_weight(rng, n):
+    """A dominant weight with the pairings of a random stratum, and for n odd its pinned pivot."""
+    def pairs(lo, hi, count):
+        return tuple(a for a in decreasing(rng.randint(lo, hi) for _ in range(count)) for _ in (0, 1))
+
+    if n % 2 == 0:
+        return pairs(0, 2 * n, n // 2)
+    k = n - 2 * rng.randint(0, n // 2)
+    return pairs(k - 1, 2 * n, k // 2) + (k - 1,) + pairs(0, k - 1, n // 2 - k // 2)
+
+
+def check_beyond_n_6(space_of, build, member, restated):
+    """Check ``member`` against ``restated`` at every stratum of ``space_of(n)`` for n = 7..12.
+
+    The weights are every summand weight of the space and 400 seeded random
+    dominant weights, half built by ``build`` to meet a stratum's parities
+    or pairings.  Returns each (n, k % 2, verdict) seen, k = n - rank_step * p.
+    """
+    rng = random.Random(7)
+    seen = set()
+    for n in range(7, 13):
+        space = space_of(n)
+        shift, step = space.record.shift, space.record.rank_step
+        weights = [w for i in range(space.dim + 1) for w in _exterior_weights(shift, n, i)]
+        for _ in range(200):
+            weights.append(build(rng, n))
+            weights.append(decreasing(rng.randint(0, 2 * n) for _ in range(n)))
+        for entries in weights:
+            w = IntegerWeight(entries)
+            for p in space.strata:
+                verdict = member(w, p)
+                assert verdict == restated(entries, p), (entries, p)
+                seen.add((n, (n - step * p) % 2, verdict))
+    return seen
 
 
 class TestLambdaExtension:
@@ -102,21 +157,15 @@ class TestMemberSymmetric:
         # entry 0 reads +inf and entries n + 1, n + 2 read -inf
         for n in range(1, 6):
             for entries in dominant_box(n):
-                e = [float("inf"), *entries, float("-inf"), float("-inf")]
                 for p in range(n + 1):
-                    k = n - p
-                    if k % 2 == 1:
-                        expected = (
-                            all(a % 2 == 0 for a in entries)
-                            and e[k] >= k + 1 and e[k + 2] <= k + 1
-                        )
-                    else:
-                        expected = (
-                            all(a % 2 == 1 for a in entries[:k])
-                            and all(a % 2 == 0 for a in entries[k:])
-                            and e[k] >= k + 1 and e[k + 1] <= k
-                        )
+                    expected = restated_member_symmetric(entries, p)
                     assert member_symmetric(IntegerWeight(entries), p) == expected, (entries, p)
+
+    def test_matches_the_inequalities_beyond_n_6(self):
+        seen = check_beyond_n_6(MatrixSpace.symmetric, random_symmetric_weight, member_symmetric,
+                                restated_member_symmetric)
+        # both blocks' parities (k odd and even) at n odd and even, each accepting and rejecting
+        assert seen == {(n, b, v) for n in range(7, 13) for b in (0, 1) for v in (False, True)}
 
     def test_full_space_stratum_matches_classical_decomposition(self):
         # Sym(Sym^2 C^n) = sum of S_mu over even mu; the stratum-n predicate
@@ -157,22 +206,14 @@ class TestMemberSkew:
         # entry 0 reads +inf and entry n + 1 reads -inf
         for n in range(2, 7):
             for entries in dominant_box(n):
-                e = [float("inf"), *entries, float("-inf")]
                 for p in range(n // 2 + 1):
-                    k = n - 2 * p
-                    if n % 2 == 0:
-                        expected = (
-                            all(e[i] == e[i + 1] for i in range(1, n, 2))
-                            and e[k] >= k - 1 and e[k + 1] <= k
-                        )
-                    else:
-                        # pairs w_1 = w_2, ... above the pivot k, w_{k+1} = w_{k+2}, ... below
-                        expected = (
-                            e[k] == k - 1
-                            and all(e[i] == e[i + 1] for i in range(1, k, 2))
-                            and all(e[i] == e[i + 1] for i in range(k + 1, n, 2))
-                        )
+                    expected = restated_member_skew(entries, p)
                     assert member_skew(IntegerWeight(entries), p) == expected, (entries, p)
+
+    def test_matches_the_inequalities_beyond_n_6(self):
+        seen = check_beyond_n_6(MatrixSpace.skew, random_skew_weight, member_skew, restated_member_skew)
+        # k = n - 2p has the parity of n: the even and the odd branch, each accepting and rejecting
+        assert seen == {(n, n % 2, v) for n in range(7, 13) for v in (False, True)}
 
     def test_full_space_stratum_matches_classical_decomposition(self):
         # Sym(wedge^2 C^n) = sum of S_mu over mu with even columns
