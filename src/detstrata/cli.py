@@ -296,10 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if isinstance(argv, (str, bytes)):
             raise TypeError
-        argv = list(map(str.__str__, argv))  # one pass, which refuses an item that is not a str
+        items = list(argv)
+        "".join(items)  # refuses an item that is not a str, at C speed
     except TypeError:
         raise TypeError(f"argv must hold only strings, got {argv!r}") from None
-    args = _read(argv) or _parser().parse_args(argv)
+    args = _read(items) or _parser().parse_args(items)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -96,12 +96,14 @@ def skew_exterior_partitions(n: int, i: int) -> list[Partition]:
 
 
 def schur_dimension(p: Partition, N: int) -> int:
-    """dim S_p(C^N) by the hook content formula; 0 when p has more than N parts."""
+    """dim S_p(C^N) by the hook content formula.
+
+    When p has more than N parts, box (N, 0) contributes the factor
+    N + 0 - N, so the dimension is 0.
+    """
     p, N = _instance("p", p, Partition), _size("N", N)
     if N < 0:
         raise ValueError(f"require N >= 0, got N={N}")
-    if len(p) > N:
-        return 0
     conj = p.conjugate().pad(p.parts[0] if p.parts else 0)
     num = 1
     den = 1

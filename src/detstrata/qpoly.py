@@ -27,8 +27,6 @@ def _trim(min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         hi -= 1
     if lo == hi:
         return 0, ()
-    if hi - lo == len(coeffs):
-        return min_exp, coeffs
     return min_exp + lo, coeffs[lo:hi]
 
 
@@ -37,12 +35,12 @@ def _mirror(first, length: int):
     return first + first[: length // 2][::-1]
 
 
-def _term(magnitude: str, exponent: int) -> str:
-    """One term of ``LaurentPoly.__str__`` without its sign: ``magnitude`` is |coefficient| as text."""
+def _term(coefficient: str, exponent: int) -> str:
+    """One term of ``LaurentPoly.__str__``: ``coefficient`` is its nonzero coefficient as text."""
     if exponent == 0:
-        return magnitude
+        return coefficient
     var = "q" if exponent == 1 else f"q^{exponent}"
-    return var if magnitude == "1" else f"{magnitude}*{var}"
+    return coefficient[:-1] + var if coefficient in ("1", "-1") else f"{coefficient}*{var}"
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,14 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        out = [0] * (max(self.max_exp, other.max_exp) - lo + 1)
-        i = self.min_exp - lo
-        out[i : i + len(self.coeffs)] = self.coeffs
-        j = other.min_exp - lo
-        end = j + len(other.coeffs)
-        out[j:end] = map(add, out[j:end], other.coeffs)
+        # the zero polynomial's min_exp 0 must not widen the run: 0 + q**k stays one coefficient
+        runs = [poly for poly in (self, other) if poly.coeffs]
+        lo = min([poly.min_exp for poly in runs], default=0)
+        out = [0] * (max([poly.min_exp + len(poly.coeffs) for poly in runs], default=0) - lo)
+        for poly in runs:
+            i = poly.min_exp - lo
+            end = i + len(poly.coeffs)
+            out[i:end] = map(add, out[i:end], poly.coeffs)
         return LaurentPoly._from_run(lo, tuple(out))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
@@ -145,30 +140,18 @@ class LaurentPoly:
     def evaluate(self, x: int) -> int:
         """Exact value at an integer x; x must be +-1 when negative exponents occur."""
         x = _size("x", x)
-        if self.min_exp < 0 and x not in (1, -1):
+        if x in (1, -1):  # x**e == x**(e % 2)
+            return (sum(self.coeffs[0::2]) + x * sum(self.coeffs[1::2])) * x ** (self.min_exp % 2)
+        if self.min_exp < 0:
             raise ValueError(
                 f"cannot evaluate negative exponents at x={x}; only x = 1 or -1 stay integral"
             )
-        if x == 1:
-            return sum(self.coeffs)
-        if x == -1:
-            alternating = sum(self.coeffs[0::2]) - sum(self.coeffs[1::2])
-            return -alternating if self.min_exp % 2 else alternating
         return sum(c * x ** (self.min_exp + i) for i, c in enumerate(self.coeffs) if c != 0)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            body = _term(str(abs(c)), self.min_exp + i)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        # no term holds a "+", so the replace turns only the separators before negative terms
+        terms = [_term(str(c), e) for e, c in enumerate(self.coeffs, self.min_exp) if c]
+        return " + ".join(terms).replace(" + -", " - ") or "0"
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}

@@ -25,7 +25,7 @@ def epsilon_symmetric(n: int, p: int) -> int:
     n, p = _size("n", n), _size("p", p)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
-    return 1 if p % 2 == 0 and n % 2 == 1 else 0
+    return FAMILIES[SYMMETRIC].gf_binomial(n, p)[0] - n // 2
 
 
 @dataclass(frozen=True)

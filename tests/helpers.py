@@ -31,6 +31,8 @@ references from the public constructors; the package itself needs none of them.
 ``restated_member_symmetric`` and ``restated_member_skew`` restate the
 symmetric and skew member conditions entry by entry, with the infinite
 boundary entries written out, for the predicate tests of ``test_characters``.
+``restated_str`` restates the text of a ``LaurentPoly`` term by term, with
+the first term and each sign as their own cases, for ``test_qpoly``.
 """
 
 from __future__ import annotations
@@ -222,6 +224,29 @@ def fresh_cache(monkeypatch):
     cache = qpoly._RowCache()
     monkeypatch.setattr(qpoly, "_ROWS", cache)
     return cache
+
+
+def restated_str(poly: LaurentPoly) -> str:
+    """``str(poly)``: terms by increasing exponent, the sign of each after the first as " + " or " - "."""
+
+    def term(magnitude: str, exponent: int) -> str:
+        if exponent == 0:
+            return magnitude
+        var = "q" if exponent == 1 else f"q^{exponent}"
+        return var if magnitude == "1" else f"{magnitude}*{var}"
+
+    if poly.is_zero:
+        return "0"
+    pieces: list[str] = []
+    for i, c in enumerate(poly.coeffs):
+        if c == 0:
+            continue
+        body = term(str(abs(c)), poly.min_exp + i)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
 
 
 def q_power(exponent: int, coefficient: int = 1) -> LaurentPoly:

@@ -34,3 +34,21 @@ def area(box):
 def test_counts_code_lines_and_tokens_of_a_sample():
     # import os | class Box : | side = 2 | def area ( box ) : | text = "..." | return ( box . side * box . side )
     assert code_size.count(SAMPLE) == (7, 2 + 3 + 3 + 6 + 3 + 10)
+
+
+def test_compares_two_trees_module_by_module(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "box.py").write_text(SAMPLE)
+    (old / "gone.py").write_text("x = 1\n")
+    (new / "box.py").write_text(SAMPLE + "side = Box.side\n")
+    (new / "added.py").write_text("y = 2\nz = 3\n")
+    assert code_size.main([str(old), str(new)]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[3:]}
+    assert rows == {
+        "added.py": ["0", "2", "+2", "0", "6", "+6"],
+        "box.py": ["7", "8", "+1", "27", "32", "+5"],
+        "gone.py": ["1", "0", "-1", "3", "0", "-3"],
+        "total": ["8", "10", "+2", "30", "38", "+8"],
+    }

@@ -7,7 +7,8 @@ import sys
 import threading
 
 import pytest
-from helpers import difference, fresh_cache, pascal_gauss_binomial, pascal_rows, poly_from_json, q_power
+from helpers import (difference, fresh_cache, pascal_gauss_binomial, pascal_rows, poly_from_json, q_power,
+                     restated_str)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -90,6 +91,12 @@ sparse_polys = st.builds(
     st.dictionaries(st.integers(-20, 20), st.integers(-3, 3).filter(bool), max_size=5),
 )
 rendered_polys = st.one_of(strided_polys(), sparse_polys, wide_polys)
+# Signed runs with unit, zero and beyond-64-bit coefficients; the empty run is the zero polynomial.
+signed_polys = st.builds(
+    lambda e, cs: LaurentPoly(e, tuple(cs)),
+    st.integers(-8, 8),
+    st.lists(st.sampled_from([0, 1, -1, 2, -2, 2**64, -(2**64)]), max_size=8),
+)
 positive_coefficients = st.one_of(
     st.integers(1, 9),
     st.integers(1, 2**80),
@@ -179,7 +186,11 @@ class TestArithmetic:
         assert ONE + Q + Q == LaurentPoly(0, (1, 2))
         p = LaurentPoly(-2, (3, 0, 1))
         assert p + LaurentPoly() == p
+        assert LaurentPoly() + p == p
+        assert LaurentPoly() + q_power(-7, -2) == q_power(-7, -2)
         assert Q + q_power(1, -1) == LaurentPoly()
+        assert p + LaurentPoly(3, (5, -1)) == LaurentPoly(-2, (3, 0, 1, 0, 0, 5, -1))
+        assert LaurentPoly(3, (5, -1)) + p == LaurentPoly(-2, (3, 0, 1, 0, 0, 5, -1))
 
     def test_mul_examples(self):
         assert (ONE + Q) * difference(ONE, Q) == LaurentPoly(0, (1, 0, -1))
@@ -250,6 +261,7 @@ class TestEvaluate:
         assert gauss_binomial(4, 2).evaluate(1) == 6
         assert q_power(3).evaluate(-1) == -1
         assert LaurentPoly().evaluate(5) == 0
+        assert LaurentPoly().evaluate(1) == 0 == LaurentPoly().evaluate(-1)
 
     def test_positive_exponents_at_any_integer(self):
         p = LaurentPoly(1, (2, 0, -3))  # 2q - 3q^3
@@ -258,6 +270,11 @@ class TestEvaluate:
     def test_negative_exponent_at_unit(self):
         p = LaurentPoly(-3, (1, 0, 2, 1))  # q^-3 + 2 q^-1 + 1
         assert p.evaluate(-1) == -1 - 2 + 1
+        assert p.evaluate(1) == 4
+        odd = LaurentPoly(1, (3, -5, 2))  # 3q - 5q^2 + 2q^3
+        assert odd.evaluate(-1) == -3 - 5 - 2
+        assert odd.evaluate(1) == 0
+        assert LaurentPoly(-5, (2, 7)).evaluate(-1) == -2 + 7
 
     @given(rendered_polys)
     def test_units_match_the_term_sums(self, p):
@@ -278,6 +295,17 @@ class TestRendering:
         assert str(LaurentPoly()) == "0"
         assert str(LaurentPoly(0, (1, 0, -1))) == "1 - q^2"
         assert str(LaurentPoly(1, (-2,))) == "-2*q"
+        assert str(LaurentPoly(0, (-1,))) == "-1"
+        assert str(LaurentPoly(1, (-1,))) == "-q"
+        assert str(LaurentPoly(-2, (-1,))) == "-q^-2"
+        assert str(LaurentPoly(0, (1, -1))) == "1 - q"
+
+    @given(signed_polys)
+    @example(LaurentPoly())
+    @example(LaurentPoly(-8, (-1, 0, 1, -(2**64))))
+    @example(LaurentPoly(0, (-2, 1, -1)))
+    def test_str_matches_the_term_by_term_text(self, p):
+        assert str(p) == restated_str(p)
 
     def test_json_round_trip(self):
         p = LaurentPoly(-2, (1, 0, 3))

@@ -5,9 +5,12 @@ that holds at least one counted token, and the tokens are those of
 ``tokenize`` without comments, line breaks, indentation markers and the
 string tokens of docstrings.  Prints one row per module of ``src/detstrata``
 and a total; a path argument counts the ``*.py`` files of that directory
-instead.  Stdlib only.
+instead.  With a second directory, each row gives the lines and the tokens
+of both trees side by side, each followed by the second's count less the
+first's; a module found in one tree only counts as 0 in the other.  Stdlib
+only.
 
-    python tools/code_size.py [DIRECTORY]
+    python tools/code_size.py [DIRECTORY [OTHER_DIRECTORY]]
 """
 
 from __future__ import annotations
@@ -49,16 +52,27 @@ def count(source: str) -> tuple[int, int]:
     return len(lines), tokens
 
 
+def sizes(root: Path) -> dict[str, tuple[int, int]]:
+    """(code lines, tokens) of each ``*.py`` file of a directory, by file name."""
+    return {path.name: count(path.read_text(encoding="utf-8")) for path in root.glob("*.py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "detstrata"
-    total_lines = total_tokens = 0
-    print(f"{'module':<20} {'lines':>6} {'tokens':>7}")
-    for path in sorted(root.glob("*.py")):
-        lines, tokens = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_tokens += tokens
-        print(f"{path.name:<20} {lines:>6} {tokens:>7}")
-    print(f"{'total':<20} {total_lines:>6} {total_tokens:>7}")
+    roots = [Path(arg) for arg in argv[:2]] or [Path(__file__).resolve().parent.parent / "src" / "detstrata"]
+    tables = [sizes(root) for root in roots]
+    rows = [(name, [table.get(name, (0, 0)) for table in tables]) for name in sorted(set().union(*tables))]
+    # (0, 0) starts each column's sum, so a tree without modules totals (0, 0)
+    rows.append(("total", [tuple(map(sum, zip((0, 0), *table.values()))) for table in tables]))
+    if len(tables) == 1:
+        print(f"{'module':<20} {'lines':>6} {'tokens':>7}")
+        for name, [(lines, tokens)] in rows:
+            print(f"{name:<20} {lines:>6} {tokens:>7}")
+        return 0
+    print(f"a: {roots[0]}\nb: {roots[1]}")
+    print(f"{'module':<20} {'lines a':>7} {'lines b':>7} {'diff':>6} {'tokens a':>8} {'tokens b':>8} {'diff':>6}")
+    for name, [(lines_a, tokens_a), (lines_b, tokens_b)] in rows:
+        print(f"{name:<20} {lines_a:>7} {lines_b:>7} {lines_b - lines_a:>+6}"
+              f" {tokens_a:>8} {tokens_b:>8} {tokens_b - tokens_a:>+6}")
     return 0
 
 
