@@ -7,13 +7,7 @@ computed by two independent routes (partition enumeration and closed
 q-binomial formulas) that are required to agree.
 """
 
-from .characters import (
-    lambda_extension,
-    member_general,
-    member_skew,
-    member_symmetric,
-    multiplicity,
-)
+from .characters import lambda_extension, member_general, member_skew, member_symmetric
 from .derham import euler_char_at_origin, ic_poincare, inv_derham_gf_closed, inv_derham_gf_enum
 from .obstructions import (
     Mismatch,
@@ -35,7 +29,7 @@ from .plethysm import (
     symmetric_exterior_partitions,
 )
 from .qpoly import LaurentPoly, gauss_binomial
-from .spaces import GENERAL, SKEW, SYMMETRIC, MatrixSpace, epsilon_symmetric
+from .spaces import GENERAL, SKEW, SYMMETRIC, MatrixSpace, epsilon_symmetric, multiplicity
 
 __all__ = [
     "GENERAL",

@@ -24,12 +24,9 @@ one partition at a time, so no size class is listed either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .partitions import IntegerWeight, _box_partitions, _conjugate, _doubled_partitions, _instance, _size
-
-if TYPE_CHECKING:
-    from .spaces import MatrixSpace
 
 
 def _extend(w: tuple[int, ...], s: int, m: int) -> tuple[int, ...]:
@@ -224,14 +221,3 @@ def _durfee_candidates(n: int, rank: int, shift: int) -> Iterator[tuple[int, tup
         r += 1
         for alpha in _doubled_partitions(r, rank - 2):
             yield r, tuple(map((1).__add__, alpha)) + (1,) * (r - len(alpha))
-
-
-def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
-    """Multiplicity (0 or 1) of the irreducible with highest weight w in the stratum-p module."""
-    from .spaces import MatrixSpace  # spaces imports this module
-
-    p = _instance("space", space, MatrixSpace).check_stratum(p)
-    w = _instance("w", w, IntegerWeight)
-    if len(w) != space.n:
-        raise ValueError(f"weight length {len(w)} does not match n={space.n}")
-    return 1 if space.record.member(w.entries, space.m, p) else 0

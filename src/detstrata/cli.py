@@ -9,13 +9,11 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .characters import multiplicity
-from .derham import _closed_factors, inv_derham_gf_enum
+from .derham import _closed_factors, _closed_text, inv_derham_gf_enum
 from .obstructions import chi_rows, euler_rows, micro_rows, signed_micro_rows, verify
 from .partitions import IntegerWeight
 from .plethysm import _exterior_partitions
-from .qpoly import _half_row, _render
-from .spaces import FAMILIES, GENERAL, SKEW, SYMMETRIC, MatrixSpace, spaces_up_to
+from .spaces import FAMILIES, GENERAL, SKEW, SYMMETRIC, MatrixSpace, multiplicity, spaces_up_to
 
 FAMILY_TOKENS = {record.token: family for family, record in FAMILIES.items()}
 # plethysm --kind names a space by the exterior power it lists: Cauchy's formula, Sym^2 or wedge^2
@@ -76,17 +74,17 @@ def _write_matrix(space: MatrixSpace, kind: str, fmt: str) -> None:
 def _write_ic(space: MatrixSpace, fmt: str) -> None:
     """Write the IC table to stdout one stratum at a time, from the closed form's half rows."""
     write = sys.stdout.write
-    factors = (_closed_factors(space, p) for p in space.strata)
     if fmt == "json":
         # "polys" sorts after the head's keys, so the polys close the object.
         write(_dumps(_json_head(space, "ic"))[:-1] + ', "polys": [')
         # Each distinct row [a, b] = [a, a - b] is rendered once, at the step of its power of q.
         rows: dict[tuple[int, int], str] = {}
-        for p, (a, b, power, shift) in enumerate(factors):
+        for p in space.strata:
+            a, b, _, shift = _closed_factors(space, p)
             key = (a, min(b, a - b))
             text = rows.get(key)
             if text is None:
-                text = rows[key] = _render(*_half_row(a, b), power, 0, "json")
+                text = rows[key] = _closed_text(space, p, 0, "json")
             write(', {"coeffs": ' if p else '{"coeffs": ')
             write(text)
             write(f', "min_exp": {shift}}}')
@@ -94,12 +92,10 @@ def _write_ic(space: MatrixSpace, fmt: str) -> None:
         return
     if fmt == "csv":
         write("stratum,exponent,coefficient\n")
-    for p, (a, b, power, shift) in enumerate(factors):
-        if fmt == "csv":
-            write(_render(*_half_row(a, b), power, shift, "csv", f"{p},"))
-        else:
+    for p in space.strata:
+        if fmt == "text":
             write(f"p={p}: ")
-            write(_render(*_half_row(a, b), power, shift, "text"))
+        write(_closed_text(space, p, 0, fmt, f"{p},"))
         write("\n")
 
 
@@ -124,9 +120,7 @@ def _cmd_derham(args: argparse.Namespace) -> int:
         enum = str(inv_derham_gf_enum(space, args.p))
         print(f"enum: {enum}")
     if method != "enum":
-        # str(inv_derham_gf_closed(space, p)): the IC factors with the shift raised by dim
-        a, b, power, shift = _closed_factors(space, args.p)
-        closed = _render(*_half_row(a, b), power, shift + space.dim, "text")
+        closed = _closed_text(space, args.p, space.dim, "text")  # str(inv_derham_gf_closed(space, p))
         write = sys.stdout.write
         write("closed: ")
         write(closed)

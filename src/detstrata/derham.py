@@ -16,7 +16,7 @@ from functools import lru_cache
 from .characters import _durfee_candidates, _extend, _general_candidates
 from .partitions import _conjugate, _in_box, _instance, _size
 from .plethysm import _frobenius_weight
-from .qpoly import LaurentPoly, _half_row, _mirror
+from .qpoly import LaurentPoly, _half_row, _mirror, _render
 from .spaces import MatrixSpace
 
 # Spaces whose enumerated generating functions stay cached.  A `verify --max 6`
@@ -104,6 +104,17 @@ def _closed_run(space: MatrixSpace, p: int, offset: int) -> LaurentPoly:
     run = [0] * (power * (length - 1) + 1)
     run[::power] = _mirror(half, length)
     return LaurentPoly._from_run(shift + offset, tuple(run))
+
+
+def _closed_text(space: MatrixSpace, p: int, offset: int, fmt: str, prefix: str = "") -> str:
+    """``qpoly._render`` of the IC Poincare polynomial of stratum p times q**offset.
+
+    The text form is ``str(_closed_run(space, p, offset))``, the csv form
+    puts ``prefix`` before each line, and the json form, the coefficient
+    list, ignores the offset.  No polynomial is built.
+    """
+    a, b, power, shift = _closed_factors(space, p)
+    return _render(*_half_row(a, b), power, shift + offset, fmt, prefix)
 
 
 def inv_derham_gf_closed(space: MatrixSpace, p: int) -> LaurentPoly:

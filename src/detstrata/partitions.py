@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, index
+from operator import ge, index, lt
 from typing import Iterator
 
 
@@ -33,6 +33,14 @@ def _ints(name: str, values, item=index) -> tuple:
         raise TypeError(f"{name} must hold only integers, got {values!r}") from None
 
 
+def _decreasing(name: str, values) -> tuple:
+    """``_ints(name, values)``, which must be weakly decreasing; a ValueError names the argument."""
+    entries = _ints(name, values)
+    if any(map(lt, entries, entries[1:])):
+        raise ValueError(f"{name} must be weakly decreasing: {entries}")
+    return entries
+
+
 def _instance(name: str, value, cls: type):
     """value, when it is a cls; a TypeError names the argument otherwise."""
     if not isinstance(value, cls):
@@ -53,15 +61,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = _ints("parts", self.parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
+        parts = _decreasing("parts", self.parts)
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        # the zeros of nonnegative, weakly decreasing parts are their tail
+        object.__setattr__(self, "parts", parts[: len(parts) - parts.count(0)])
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -102,11 +106,7 @@ class IntegerWeight:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = _ints("entries", self.entries)
-        for a, b in zip(entries, entries[1:]):
-            if a < b:
-                raise ValueError(f"entries must be weakly decreasing: {entries}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _decreasing("entries", self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -104,7 +104,7 @@ def schur_dimension(p: Partition, N: int) -> int:
     p, N = _instance("p", p, Partition), _size("N", N)
     if N < 0:
         raise ValueError(f"require N >= 0, got N={N}")
-    conj = p.conjugate().pad(p.parts[0] if p.parts else 0)
+    conj = _conjugate(p.parts)
     num = 1
     den = 1
     for i, row in enumerate(p.parts):

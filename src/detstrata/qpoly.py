@@ -114,12 +114,8 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return LaurentPoly._from_run(self.min_exp + other.min_exp, tuple(out))

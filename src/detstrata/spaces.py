@@ -5,6 +5,7 @@ matrices lives in the ``Family`` records of ``FAMILIES``: dimensions and
 strata, the Frobenius shift and member predicate of the enumeration route,
 the closed q-binomial parameters, and the cells of the strata matrices.  The
 rest of the package reads a space's record and never branches on the family.
+``multiplicity`` reads a weight's membership from the record's predicate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .characters import _member_general, _member_skew, _member_symmetric
-from .partitions import _size
+from .partitions import IntegerWeight, _instance, _size
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -200,6 +201,15 @@ class MatrixSpace:
     def __str__(self) -> str:
         sizes = self.n if self.m is None else f"{self.m},{self.n}"
         return f"{self.family}({sizes})"
+
+
+def multiplicity(space: MatrixSpace, p: int, w: IntegerWeight) -> int:
+    """Multiplicity (0 or 1) of the irreducible with highest weight w in the stratum-p module."""
+    p = _instance("space", space, MatrixSpace).check_stratum(p)
+    w = _instance("w", w, IntegerWeight)
+    if len(w) != space.n:
+        raise ValueError(f"weight length {len(w)} does not match n={space.n}")
+    return 1 if space.record.member(w.entries, space.m, p) else 0
 
 
 def spaces_up_to(family: str, bound: int) -> Iterator[MatrixSpace]:

@@ -1,10 +1,13 @@
 """Every module of the package reads each name it imports, checked with ``ast`` alone.
 
+The modules import one another without a cycle, and the command line reads
+the closed text and the multiplicities through the modules that own them.
 The value classes keep the public surface listed here: a member added later is listed on purpose.
 """
 
 import ast
 import dataclasses
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,55 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((PACKAGE / module).read_text()) == [], module
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports from by ``from .x import``, anywhere in it.
+
+    ``ast.walk`` reaches function bodies and ``TYPE_CHECKING`` blocks too.
+    """
+    return {
+        node.module for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as its nodes with the first repeated last, or [] when it has none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+IMPORTS = {path.stem: package_imports(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def test_the_import_reader_and_cycle_finder_find_what_they_should():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from .partitions import _size\n"
+        "if TYPE_CHECKING:\n"
+        "    from .spaces import MatrixSpace\n"
+        "def f():\n"
+        "    from .qpoly import LaurentPoly\n"
+        "    from . import derham\n"
+    )
+    assert package_imports(source) == {"partitions", "spaces", "qpoly"}
+    cycle = find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}})
+    assert sorted(cycle) == ["a", "a", "b", "c"] and cycle[0] == cycle[-1]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_the_package_import_graph_has_no_cycle():
+    assert find_cycle(IMPORTS) == []
+
+
+def test_each_rule_is_imported_from_its_owner():
+    # derham owns the closed-polynomial text, spaces owns multiplicity
+    assert IMPORTS["cli"].isdisjoint({"qpoly", "characters"})
+    assert "spaces" not in IMPORTS["characters"]
 
 
 # The names without a leading underscore of each value class, its fields included.

@@ -1,3 +1,5 @@
+import re
+import time
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -23,8 +25,14 @@ class TestPartition:
         assert Partition((3, 1, 0)).parts == (3, 1)
 
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("parts must be weakly decreasing: (1, 2)")):
             Partition((1, 2))
+
+    def test_a_long_zero_tail_is_trimmed_in_linear_time(self):
+        start = time.perf_counter()
+        partition = Partition((1,) + (0,) * 100_000)
+        assert time.perf_counter() - start < 1.0
+        assert partition == Partition((1,))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -204,7 +212,7 @@ class TestRawBoxHelpers:
 
 class TestIntegerWeight:
     def test_rejects_non_dominant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("entries must be weakly decreasing: (0, 1)")):
             IntegerWeight((0, 1))
 
     @pytest.mark.parametrize("entries", [("3", 1.9), (3, 1.9), (2.0, -1)])

@@ -198,6 +198,8 @@ class TestArithmetic:
         assert p * ONE == p
         assert q_power(-2) * q_power(5) == q_power(3)
         assert p * LaurentPoly() == LaurentPoly() == LaurentPoly() * p
+        assert LaurentPoly() * LaurentPoly() == LaurentPoly()
+        assert (ONE + q_power(2)) * difference(ONE, q_power(2)) == difference(ONE, q_power(4))
 
     def test_shift_examples(self):
         assert LaurentPoly(0, (1, 0, 1)).shift(-3) == LaurentPoly(-3, (1, 0, 1))

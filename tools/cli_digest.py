@@ -62,6 +62,14 @@ def commands() -> list[list[str]]:
             for t, n, m in [("general", 2, 3), ("symm", 4, None), ("skew", 5, None)]
             for kind in ("euler", "chi", "micro", "ic") for fmt in ("text", "json", "csv")
             for signed in ([], ["--signed"])]
+    closed = [("general", 9, 9), ("symm", 13, None), ("symm", 14, None), ("skew", 13, None)]
+    out += [["table", *_space(t, n, m), "--kind", "ic", "--format", fmt]
+            for t, n, m in closed for fmt in ("text", "csv", "json")]
+    out += [["derham", *_space(t, n, m), "--p", str(p), "--method", "closed"]
+            for t, n, m in closed for p in _strata(t, n)]
+    # a weight that is not weakly decreasing: exit 2 with the constructor's message
+    out += [["character", *_space(t, n, m), "--p", "0", "--weight", w]
+            for t, n, m, w in [("general", 2, 3, "0,1"), ("symm", 3, None, "2,0,4"), ("skew", 4, None, "1,1,0,2")]]
     return out + REFUSALS
 
 
